@@ -22,7 +22,7 @@ Stage wiring (:func:`pipeline_dag`):
   in the run's :class:`~repro.exec.arrays.ArrayStore` and downstream
   chunks receive zero-copy refs;
 - one **distance chunk** task per deterministic slice of the
-  upper-triangle pair list (layout mirrors
+  upper-triangle ``(m, 2)`` pair array (layout mirrors
   :func:`repro.similarity.evaluation.distance_matrix`: a pure function
   of the pair count, never of the worker count);
 - one **assemble** task folding the chunks into the symmetric matrix;
@@ -45,7 +45,7 @@ from repro.exec.arrays import acquire_store
 from repro.exec.dag import DagResults, DagTask, Input, run_dag
 from repro.ml.linear import Ridge
 from repro.obs.tracing import span
-from repro.similarity.evaluation import _pair_chunk_body
+from repro.similarity.evaluation import _chunk_payload, _pair_chunk_body
 from repro.similarity.representations import RepresentationBuilder
 from repro.utils.parallel import chunk_bounds
 from repro.workloads.gridexec import _task_body
@@ -82,8 +82,9 @@ def _rep_unit(payload, attempt: int, in_worker: bool):
 
 def _chunk_unit(payload, attempt: int, in_worker: bool):
     """One distance chunk over the published representation matrices."""
-    matrices, local_pairs, measure, chunk_index = payload
-    return _pair_chunk_body(list(matrices), local_pairs, measure, chunk_index)
+    matrices, pairs, measure, chunk_index = payload
+    sub, local_pairs = _chunk_payload(list(matrices), pairs)
+    return _pair_chunk_body(sub, local_pairs, measure, chunk_index)
 
 
 def _assemble_unit(payload, attempt: int, in_worker: bool):
@@ -92,8 +93,8 @@ def _assemble_unit(payload, attempt: int, in_worker: bool):
     with span("exec.stages.assemble", attrs={"n": n}):
         D = np.zeros((n, n))
         for chunk, (values, _seconds) in zip(chunks, outputs):
-            for (i, j), value in zip(chunk, values):
-                D[i, j] = D[j, i] = value
+            D[chunk[:, 0], chunk[:, 1]] = values
+            D[chunk[:, 1], chunk[:, 0]] = values
         return D
 
 
@@ -168,7 +169,7 @@ def pipeline_dag(
         )
     )
     n = len(sims)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = np.column_stack(np.triu_indices(n, 1))
     chunk_size = max(1, math.ceil(len(pairs) / chunk_target))
     chunks = [
         pairs[start:stop]

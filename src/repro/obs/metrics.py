@@ -122,14 +122,23 @@ class Histogram:
         self.count = 0
         self._lock = threading.Lock()
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (one by default).
+
+        Buckets and ``count`` move exactly as ``count`` single calls
+        would; ``sum`` grows by ``value * count``, one rounding where
+        repeated calls would round ``count`` times.
+        """
+        if count < 1:
+            raise ValidationError(
+                f"histogram observation count must be >= 1, got {count}"
+            )
         value = float(value)
         position = bisect_left(self.buckets, value)
         with self._lock:
-            self.counts[position] += 1
-            self.sum += value
-            self.count += 1
+            self.counts[position] += count
+            self.sum += value * count
+            self.count += count
 
     def cumulative_counts(self) -> list[int]:
         """Cumulative count per bucket, ending with the +Inf total."""

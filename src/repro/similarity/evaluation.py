@@ -34,6 +34,7 @@ from repro.similarity.distcache import (
 )
 from repro.similarity.dtw import _dtw_from_cost, batch_dependent_costs
 from repro.similarity.measures import MeasureSpec, _dtw_dependent
+from repro.similarity.norms import BATCHED_NORMS
 from repro.similarity.representations import RepresentationBuilder
 from repro.utils.parallel import chunk_bounds, resolve_jobs
 
@@ -86,151 +87,173 @@ def _prepare_pair(
     return A, B
 
 
-def _compute_pair_chunk(
-    sub_matrices: list[np.ndarray],
-    local_pairs: list[tuple[int, int]],
-    measure: MeasureSpec,
-) -> tuple[list[float], list[float]]:
-    """Distances (plus per-pair seconds) for one chunk of pairs.
+def _pair_values(
+    matrices: list[np.ndarray], pairs: np.ndarray, measure: MeasureSpec
+) -> np.ndarray:
+    """Distances of ``pairs``, an ``(m, 2)`` index array into ``matrices``.
 
-    This is the unit of work shipped to pool workers, and the exact same
-    function the serial path calls — which is what makes parallel output
-    bit-identical to serial.  When the measure is Dependent-DTW and every
-    matrix in the chunk has the same shape, the local-cost matrices for
-    all pairs are built in one batched contraction
-    (:func:`~repro.similarity.dtw.batch_dependent_costs`, bit-identical
-    per slice to the per-pair path) before the dynamic programs run.
+    Every value equals calling ``measure`` on its pair alone, aligned by
+    :func:`_prepare_pair`; the batched forms below are chosen only from
+    properties of the input, where they are bit-identical per pair:
+
+    - a norm with a stacked form
+      (:data:`~repro.similarity.norms.BATCHED_NORMS`) over C-contiguous
+      2-D matrices of one shape runs as one contraction — the memory
+      layout fixes the order numpy sums in;
+    - Dependent-DTW over matrices of one shape builds every pair's
+      local-cost matrix in one batched contraction
+      (:func:`~repro.similarity.dtw.batch_dependent_costs`) before the
+      dynamic programs run.
+
+    Everything else — mixed shapes, which :func:`_prepare_pair`
+    truncates pair by pair, the other norms, LCSS, Independent-DTW — is
+    evaluated pair by pair.
     """
+    same_shape = len({M.shape for M in matrices}) == 1
+    batched = BATCHED_NORMS.get(measure.func)
+    if (
+        batched is not None
+        and same_shape
+        and matrices[0].ndim == 2
+        and all(M.flags.c_contiguous for M in matrices)
+    ):
+        return batched(*_gather_pairs(matrices, pairs))
+    if measure.func is _dtw_dependent and same_shape:
+        costs = batch_dependent_costs(*_gather_pairs(matrices, pairs))
+        return np.array([_dtw_from_cost(cost, None) for cost in costs])
     elastic = _is_elastic(measure)
-    costs = None
-    if measure.func is _dtw_dependent and local_pairs:
-        shapes = {sub_matrices[k].shape for pair in local_pairs for k in pair}
-        if len(shapes) == 1:
-            stack_a = np.stack([sub_matrices[i] for i, _ in local_pairs])
-            stack_b = np.stack([sub_matrices[j] for _, j in local_pairs])
-            costs = batch_dependent_costs(stack_a, stack_b)
-    values: list[float] = []
-    seconds: list[float] = []
-    for position, (i, j) in enumerate(local_pairs):
-        start = time.perf_counter()
-        if costs is not None:
-            value = _dtw_from_cost(costs[position], None)
-        else:
-            A, B = _prepare_pair(sub_matrices[i], sub_matrices[j], elastic)
-            value = float(measure(A, B))
-        seconds.append(time.perf_counter() - start)
-        values.append(value)
-    return values, seconds
+    return np.array(
+        [
+            float(measure(*_prepare_pair(matrices[i], matrices[j], elastic)))
+            for i, j in pairs.tolist()
+        ],
+        dtype=float,
+    )
+
+
+def _gather_pairs(
+    matrices: list[np.ndarray], pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, r, c)`` left and right stacks of ``pairs``."""
+    stack = np.array(matrices)
+    # ``take`` gathers from the strided pair columns several times
+    # faster than fancy indexing does.
+    return (
+        np.take(stack, pairs[:, 0], axis=0),
+        np.take(stack, pairs[:, 1], axis=0),
+    )
+
+
+def _cross_pairs(n_rows: int, n_cols: int, col_offset: int) -> np.ndarray:
+    """Row-major pairs ``(i, col_offset + j)`` of an ``n_rows x n_cols``
+    block, as an ``(n_rows * n_cols, 2)`` index array."""
+    return np.column_stack(
+        (
+            np.repeat(np.arange(n_rows), n_cols),
+            col_offset + np.tile(np.arange(n_cols), n_rows),
+        )
+    )
 
 
 def _pair_chunk_body(
     sub_matrices: list[np.ndarray],
-    local_pairs: list[tuple[int, int]],
+    local_pairs: np.ndarray,
     measure: MeasureSpec,
     chunk_index: int,
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, float]:
+    """Distances for one chunk of pairs, plus the chunk's compute seconds.
+
+    This is the unit of work shipped to pool workers, and the exact same
+    function the serial path calls — which is what makes parallel output
+    bit-identical to serial.
+    """
     with span(
         "similarity.pair_chunk",
         attrs={"chunk": chunk_index, "pairs": len(local_pairs)},
     ):
-        return _compute_pair_chunk(sub_matrices, local_pairs, measure)
+        start = time.perf_counter()
+        values = _pair_values(sub_matrices, local_pairs, measure)
+        return values, time.perf_counter() - start
 
 
 def _pair_chunk_unit(payload, attempt: int, in_worker: bool):
     """Engine adapter: one pair chunk, shared-memory refs pre-resolved."""
-    sub_matrices, local_pairs, measure, chunk_index = payload
-    return _pair_chunk_body(sub_matrices, local_pairs, measure, chunk_index)
+    return _pair_chunk_body(*payload)
 
 
 def _chunk_payload(
-    matrices: list[np.ndarray], pair_chunk: list[tuple[int, int]]
-) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
+    matrices: list, pair_chunk: np.ndarray
+) -> tuple[list, np.ndarray]:
     """Restrict ``matrices`` to the ones a chunk references.
 
-    Workers receive only the matrices their pairs touch (with the pair
-    indices remapped), so fan-out cost scales with the chunk, not the
-    corpus.
+    Workers receive only the matrices their pairs touch, with the pair
+    indices remapped to positions in that list, so fan-out cost scales
+    with the chunk, not the corpus.
     """
-    ids = sorted({k for pair in pair_chunk for k in pair})
-    local = {k: position for position, k in enumerate(ids)}
-    sub = [matrices[k] for k in ids]
-    local_pairs = [(local[i], local[j]) for i, j in pair_chunk]
-    return sub, local_pairs
+    ids, local = np.unique(pair_chunk, return_inverse=True)
+    return [matrices[k] for k in ids.tolist()], local.reshape(pair_chunk.shape)
 
 
-def distance_matrix(
+def _pair_distances(
     matrices: list[np.ndarray],
+    pairs: np.ndarray,
     measure: MeasureSpec,
-    *,
-    jobs: int | None = None,
-    cache: "DistanceCache | str | None" = None,
+    n_workers: int,
+    cache: DistanceCache | None,
+    digests: list[str] | None = None,
 ) -> np.ndarray:
-    """Symmetric pairwise distance matrix over representation matrices.
+    """Distances of ``pairs``, an ``(m, 2)`` index array into ``matrices``.
 
-    The upper-triangle pairs are scheduled in deterministic chunks;
-    ``jobs`` fans the chunks out over a ``ProcessPoolExecutor``
-    (``None``/``1`` serial, ``0`` one worker per CPU) with a serial
-    fallback when no pool can be created.  Chunk layout depends only on
-    the pair list, so **parallel output is bit-identical to serial** —
-    ``tests/similarity/test_parallel_distance.py`` asserts exact array
-    equality.
-
-    ``cache`` (a :class:`~repro.similarity.distcache.DistanceCache` or a
-    directory path) memoizes each pair under a content address — sweeps
-    that share matrices (robustness levels, repeated sessions) only
-    compute the pairs they have not seen.
+    The one pair engine behind :func:`distance_matrix`,
+    :func:`cross_distance_matrix` and :func:`multi_query_cross_distances`.
+    With a ``cache``, every pair is first looked up under its content
+    address (``digests`` may supply the matrix digests).  The misses
+    are split into chunks of about ``len(misses) / PAIR_CHUNK_TARGET``
+    pairs — a pure function of the miss count, never of ``n_workers`` —
+    run on the shared engine, and scattered back by position.  Each
+    chunk's compute time, divided evenly over its pairs, is one bulk
+    observation of ``similarity.pair_seconds``.
     """
-    n = len(matrices)
-    D = np.zeros((n, n))
-    cache = as_distance_cache(cache)
-    n_workers = resolve_jobs(jobs)
     metrics = get_metrics()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    with span(
-        "similarity.distance_matrix",
-        attrs={
-            "n_experiments": n,
-            "measure": measure.name,
-            "workers": n_workers,
-        },
-    ):
-        misses: list[tuple[int, int]] = []
-        keys: dict[tuple[int, int], str] = {}
-        if cache is not None and pairs:
+    values = np.zeros(len(pairs))
+    misses = np.arange(len(pairs))
+    keys: list[str] = []
+    if cache is not None and len(pairs):
+        if digests is None:
             digests = [matrix_digest(M) for M in matrices]
-            for i, j in pairs:
-                key = pair_key(digests[i], digests[j], measure.name)
-                keys[(i, j)] = key
-                value = cache.get(key)
-                if value is None:
-                    misses.append((i, j))
-                else:
-                    D[i, j] = D[j, i] = value
-        else:
-            misses = pairs
-        chunk_size = max(1, math.ceil(len(misses) / PAIR_CHUNK_TARGET))
-        chunks = [
-            misses[start:stop]
-            for start, stop in chunk_bounds(len(misses), chunk_size)
+        keys = [
+            pair_key(digests[i], digests[j], measure.name)
+            for i, j in pairs.tolist()
         ]
-        outputs = _run_pair_chunks(matrices, chunks, measure, n_workers)
-        histogram = metrics.histogram("similarity.pair_seconds")
-        for chunk, (values, seconds) in zip(chunks, outputs):
-            for (i, j), value, elapsed in zip(chunk, values, seconds):
-                D[i, j] = D[j, i] = value
-                histogram.observe(elapsed)
-                if cache is not None:
-                    cache.put(keys[(i, j)], value)
+        cached = [cache.get(key) for key in keys]
+        hit = np.array([value is not None for value in cached])
+        values[hit] = [value for value in cached if value is not None]
+        misses = np.flatnonzero(~hit)
+    chunk_size = max(1, math.ceil(len(misses) / PAIR_CHUNK_TARGET))
+    chunks = [
+        misses[start:stop]
+        for start, stop in chunk_bounds(len(misses), chunk_size)
+    ]
+    outputs = _run_pair_chunks(
+        matrices, [pairs[chunk] for chunk in chunks], measure, n_workers
+    )
+    histogram = metrics.histogram("similarity.pair_seconds")
+    for chunk, (chunk_values, elapsed) in zip(chunks, outputs):
+        values[chunk] = chunk_values
+        histogram.observe(elapsed / len(chunk), count=len(chunk))
+        if cache is not None:
+            for position, value in zip(chunk.tolist(), chunk_values.tolist()):
+                cache.put(keys[position], value)
     metrics.counter("similarity.pairs_computed").inc(len(misses))
-    return D
+    return values
 
 
 def _run_pair_chunks(
     matrices: list[np.ndarray],
-    chunks: list[list[tuple[int, int]]],
+    chunks: list[np.ndarray],
     measure: MeasureSpec,
     n_workers: int,
-) -> list[tuple[list[float], list[float]]]:
+) -> list[tuple[np.ndarray, float]]:
     """Run pair chunks on the shared engine; results in chunk order.
 
     Each chunk runs under telemetry capture and its snapshot is merged
@@ -272,6 +295,52 @@ def _run_pair_chunks(
             store.close()
 
 
+def distance_matrix(
+    matrices: list[np.ndarray],
+    measure: MeasureSpec,
+    *,
+    jobs: int | None = None,
+    cache: "DistanceCache | str | None" = None,
+) -> np.ndarray:
+    """Symmetric pairwise distance matrix over representation matrices.
+
+    The upper-triangle pairs are scheduled in deterministic chunks;
+    ``jobs`` fans the chunks out over a ``ProcessPoolExecutor``
+    (``None``/``1`` serial, ``0`` one worker per CPU) with a serial
+    fallback when no pool can be created.  Chunk layout depends only on
+    the pair list, so **parallel output is bit-identical to serial** —
+    ``tests/similarity/test_parallel_distance.py`` asserts exact array
+    equality.
+
+    ``cache`` (a :class:`~repro.similarity.distcache.DistanceCache` or a
+    directory path) memoizes each pair under a content address — sweeps
+    that share matrices (robustness levels, repeated sessions) only
+    compute the pairs they have not seen.
+    """
+    n = len(matrices)
+    n_workers = resolve_jobs(jobs)
+    upper = np.triu_indices(n, 1)
+    with span(
+        "similarity.distance_matrix",
+        attrs={
+            "n_experiments": n,
+            "measure": measure.name,
+            "workers": n_workers,
+        },
+    ):
+        values = _pair_distances(
+            matrices,
+            np.column_stack(upper),
+            measure,
+            n_workers,
+            as_distance_cache(cache),
+        )
+    D = np.zeros((n, n))
+    D[upper] = values
+    D[upper[::-1]] = values
+    return D
+
+
 def cross_distance_matrix(
     rows: list[np.ndarray],
     cols: list[np.ndarray],
@@ -292,15 +361,7 @@ def cross_distance_matrix(
     """
     if not rows or not cols:
         raise ValidationError("cross_distance_matrix needs non-empty sets")
-    matrices = list(rows) + list(cols)
-    offset = len(rows)
-    C = np.zeros((len(rows), len(cols)))
-    cache = as_distance_cache(cache)
     n_workers = resolve_jobs(jobs)
-    metrics = get_metrics()
-    pairs = [
-        (i, offset + j) for i in range(len(rows)) for j in range(len(cols))
-    ]
     with span(
         "similarity.cross_distance_matrix",
         attrs={
@@ -310,35 +371,14 @@ def cross_distance_matrix(
             "workers": n_workers,
         },
     ):
-        misses: list[tuple[int, int]] = []
-        keys: dict[tuple[int, int], str] = {}
-        if cache is not None:
-            digests = [matrix_digest(M) for M in matrices]
-            for i, j in pairs:
-                key = pair_key(digests[i], digests[j], measure.name)
-                keys[(i, j)] = key
-                value = cache.get(key)
-                if value is None:
-                    misses.append((i, j))
-                else:
-                    C[i, j - offset] = value
-        else:
-            misses = pairs
-        chunk_size = max(1, math.ceil(len(misses) / PAIR_CHUNK_TARGET))
-        chunks = [
-            misses[start:stop]
-            for start, stop in chunk_bounds(len(misses), chunk_size)
-        ]
-        outputs = _run_pair_chunks(matrices, chunks, measure, n_workers)
-        histogram = metrics.histogram("similarity.pair_seconds")
-        for chunk, (values, seconds) in zip(chunks, outputs):
-            for (i, j), value, elapsed in zip(chunk, values, seconds):
-                C[i, j - offset] = value
-                histogram.observe(elapsed)
-                if cache is not None:
-                    cache.put(keys[(i, j)], value)
-    metrics.counter("similarity.pairs_computed").inc(len(misses))
-    return C
+        values = _pair_distances(
+            list(rows) + list(cols),
+            _cross_pairs(len(rows), len(cols), len(rows)),
+            measure,
+            n_workers,
+            as_distance_cache(cache),
+        )
+    return values.reshape(len(rows), len(cols))
 
 
 def multi_query_cross_distances(
@@ -355,10 +395,10 @@ def multi_query_cross_distances(
     ``result[q]`` is bit-identical to
     ``cross_distance_matrix(query_sets[q], cols, measure, ...)`` — each
     per-pair value is a pure function of the pair (the batched
-    Dependent-DTW contraction is bit-identical per slice to the per-pair
-    path), so stitching every query's pairs into **one** chunked fan-out
-    cannot change any value, only the wall-clock cost: a batch of Q
-    queries x R references is one engine dispatch instead of Q
+    contractions are bit-identical per slice to the per-pair path), so
+    stitching every query's pairs into **one** chunked fan-out cannot
+    change any value, only the wall-clock cost: a batch of Q queries x
+    R references is one engine dispatch instead of Q
     (``tests/similarity/test_multi_query.py`` pins the equality across
     batch sizes and worker counts).
 
@@ -377,28 +417,12 @@ def multi_query_cross_distances(
         )
     if col_digests is not None and len(col_digests) != len(cols):
         raise ValidationError("col_digests must align with cols")
-    matrices: list[np.ndarray] = []
-    query_offsets: list[int] = []
-    for query in query_sets:
-        query_offsets.append(len(matrices))
-        matrices.extend(query)
-    col_offset = len(matrices)
-    matrices.extend(cols)
-    results = [
-        np.zeros((len(query), len(cols))) for query in query_sets
-    ]
+    queries = [M for query in query_sets for M in query]
     cache = as_distance_cache(cache)
+    digests = None
+    if cache is not None and col_digests is not None:
+        digests = [matrix_digest(M) for M in queries] + list(col_digests)
     n_workers = resolve_jobs(jobs)
-    metrics = get_metrics()
-    pairs: list[tuple[int, int]] = []
-    owner: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for q, query in enumerate(query_sets):
-        base = query_offsets[q]
-        for i in range(len(query)):
-            for j in range(len(cols)):
-                pair = (base + i, col_offset + j)
-                pairs.append(pair)
-                owner[pair] = (q, i, j)
     with span(
         "similarity.multi_query_cross_distances",
         attrs={
@@ -408,41 +432,17 @@ def multi_query_cross_distances(
             "workers": n_workers,
         },
     ):
-        misses: list[tuple[int, int]] = []
-        keys: dict[tuple[int, int], str] = {}
-        if cache is not None:
-            digests = [matrix_digest(M) for M in matrices[:col_offset]]
-            if col_digests is not None:
-                digests.extend(col_digests)
-            else:
-                digests.extend(matrix_digest(M) for M in cols)
-            for i, j in pairs:
-                key = pair_key(digests[i], digests[j], measure.name)
-                keys[(i, j)] = key
-                value = cache.get(key)
-                if value is None:
-                    misses.append((i, j))
-                else:
-                    q, row, col = owner[(i, j)]
-                    results[q][row, col] = value
-        else:
-            misses = pairs
-        chunk_size = max(1, math.ceil(len(misses) / PAIR_CHUNK_TARGET))
-        chunks = [
-            misses[start:stop]
-            for start, stop in chunk_bounds(len(misses), chunk_size)
-        ]
-        outputs = _run_pair_chunks(matrices, chunks, measure, n_workers)
-        histogram = metrics.histogram("similarity.pair_seconds")
-        for chunk, (values, seconds) in zip(chunks, outputs):
-            for (i, j), value, elapsed in zip(chunk, values, seconds):
-                q, row, col = owner[(i, j)]
-                results[q][row, col] = value
-                histogram.observe(elapsed)
-                if cache is not None:
-                    cache.put(keys[(i, j)], value)
-    metrics.counter("similarity.pairs_computed").inc(len(misses))
-    return results
+        values = _pair_distances(
+            queries + list(cols),
+            _cross_pairs(len(queries), len(cols), len(queries)),
+            measure,
+            n_workers,
+            cache,
+            digests,
+        )
+    # Each query owns a contiguous run of rows of the stacked block.
+    bounds = np.cumsum([len(query) for query in query_sets])[:-1]
+    return np.vsplit(values.reshape(len(queries), len(cols)), bounds)
 
 
 def normalized_distances(D: np.ndarray) -> np.ndarray:

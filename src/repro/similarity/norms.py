@@ -4,6 +4,17 @@ The paper deploys the L1,1, L2,1, Frobenius, Canberra, Chi-square, and
 Correlation norms (Section 5.1.2).  All functions take two matrices of the
 same shape — Hist-FP/Phase-FP fingerprints or aligned MTS windows — and
 return a non-negative scalar distance.
+
+Norms whose reductions can run over a whole stack of pairs at once also
+have a stacked form, ``(P, r, c) x (P, r, c) -> (P,)``, listed in
+:data:`BATCHED_NORMS`.  A stacked form applies the same ufuncs over the
+same reduction axes of C-contiguous slices, so numpy sums every slice in
+the same order as the scalar function and each result is bit-identical
+to it (``tests/similarity/test_batched_norms.py`` asserts ``==``).  The
+others keep only their scalar form: Frobenius reduces through a BLAS dot
+product, Canberra/Chi-square sum a masked selection whose length varies
+per pair (a stacked reduction would add in a different order), and
+Correlation branches per pair on constant inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +39,16 @@ def _pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _stack_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pair` for two ``(P, r, c)`` stacks of matrices."""
+    A, B = _pair(A, B)
+    if A.ndim != 3:
+        raise ValidationError(
+            f"stacks must be (pairs, rows, columns), got shape {A.shape}"
+        )
+    return A, B
+
+
 def l11_distance(A, B) -> float:
     """L1,1 norm of the difference: sum of absolute entry differences."""
     A, B = _pair(A, B)
@@ -38,6 +59,28 @@ def l21_distance(A, B) -> float:
     """L2,1 norm of the difference: sum of column-wise Euclidean norms."""
     A, B = _pair(A, B)
     return float(np.sum(np.linalg.norm(A - B, axis=0)))
+
+
+def batch_l11_distances(A, B) -> np.ndarray:
+    """:func:`l11_distance` of every slice pair of two ``(P, r, c)`` stacks."""
+    A, B = _stack_pair(A, B)
+    difference = np.subtract(A, B)
+    np.abs(difference, out=difference)
+    return np.sum(difference.reshape(len(A), -1), axis=1)
+
+
+def batch_l21_distances(A, B) -> np.ndarray:
+    """:func:`l21_distance` of every slice pair of two ``(P, r, c)`` stacks.
+
+    ``np.linalg.norm(X, axis=k)`` of a real ``X`` is
+    ``sqrt(add.reduce(X * X, axis=k))``; it is spelled out here so the
+    squares reuse the difference's buffer — a stack of pairs is large
+    enough that every fresh temporary costs more than the arithmetic.
+    """
+    A, B = _stack_pair(A, B)
+    difference = np.subtract(A, B)
+    np.multiply(difference, difference, out=difference)
+    return np.sum(np.sqrt(np.add.reduce(difference, axis=1)), axis=1)
 
 
 def frobenius_distance(A, B) -> float:
@@ -94,4 +137,11 @@ NORMS = {
     "Canb": canberra_distance,
     "Chi2": chi2_distance,
     "Corr": correlation_distance,
+}
+
+#: Stacked forms, keyed by the scalar function each one reproduces
+#: bit for bit on every C-contiguous slice.
+BATCHED_NORMS = {
+    l21_distance: batch_l21_distances,
+    l11_distance: batch_l11_distances,
 }

@@ -35,7 +35,12 @@ from repro.similarity.dtw import (
     lb_kim,
     multivariate_dtw,
 )
-from repro.similarity.evaluation import _is_elastic, _prepare_pair
+from repro.similarity.evaluation import (
+    _cross_pairs,
+    _is_elastic,
+    _pair_values,
+    _prepare_pair,
+)
 from repro.similarity.measures import (
     MeasureSpec,
     _dtw_dependent,
@@ -126,6 +131,11 @@ def measure_norm(measure: MeasureSpec, A: np.ndarray) -> float | None:
     return None
 
 
+def _shape_codes(matrices: list[np.ndarray], codes: dict) -> np.ndarray:
+    """One integer per matrix, equal exactly when the shapes are equal."""
+    return np.array([codes.setdefault(M.shape, len(codes)) for M in matrices])
+
+
 def _group_lower_bounds(
     query_matrices: list[np.ndarray],
     candidates: list[np.ndarray],
@@ -142,37 +152,61 @@ def _group_lower_bounds(
     is ``<=`` the exact block mean and a bound that reaches the current
     best proves the whole group cannot win.
     """
-    dependent_dtw = measure.func is _dtw_dependent
+    if measure.func is not _dtw_dependent:
+        if norms is None:
+            return np.zeros((len(query_matrices), len(indices)))
+        # Reverse triangle inequality |N(A) - N(B)|, as one broadcast.
+        # Only valid when the exact path compares the full matrices
+        # (equal shapes — unequal ones are truncated by _prepare_pair,
+        # which the precomputed norms know nothing about); 0 elsewhere.
+        member_norms = np.array([norms[c] for c in indices], dtype=float)
+        bounds = np.abs(query_norms[:, None] - member_norms[None, :])
+        codes: dict = {}
+        same_shape = np.equal.outer(
+            _shape_codes(query_matrices, codes),
+            _shape_codes([candidates[c] for c in indices], codes),
+        )
+        return np.where(same_shape, bounds, 0.0)
     lbs = np.zeros((len(query_matrices), len(indices)))
     for row, A in enumerate(query_matrices):
         for col, candidate in enumerate(indices):
             B = candidates[candidate]
-            if dependent_dtw:
-                bound = lb_kim(A, B)
-                envelope = (
-                    envelopes[candidate] if envelopes is not None else None
+            bound = lb_kim(A, B)
+            envelope = envelopes[candidate] if envelopes is not None else None
+            if envelope is not None:
+                bound = max(
+                    bound, lb_keogh_from_envelope(A, envelope[0], envelope[1])
                 )
-                if envelope is not None:
-                    bound = max(
-                        bound,
-                        lb_keogh_from_envelope(A, envelope[0], envelope[1]),
-                    )
-                else:
-                    bound = max(bound, lb_keogh(A, B))
-                lbs[row, col] = bound
-            elif (
-                norms is not None
-                and query_norms is not None
-                and query_norms[row] is not None
-                and norms[candidate] is not None
-                and A.shape == B.shape
-            ):
-                # Reverse triangle inequality; only valid when the exact
-                # path compares the full matrices (equal shapes — unequal
-                # ones are truncated by _prepare_pair, which the
-                # precomputed norms know nothing about).
-                lbs[row, col] = abs(query_norms[row] - norms[candidate])
+            else:
+                bound = max(bound, lb_keogh(A, B))
+            lbs[row, col] = bound
     return lbs
+
+
+def _exact_block(
+    query_matrices: list[np.ndarray],
+    members: list[np.ndarray],
+    measure: MeasureSpec,
+) -> np.ndarray:
+    """Exact distances of the query x member block.
+
+    Dependent-DTW runs pair by pair; every other measure goes through
+    the distance engine's pair evaluation, which is one contraction of
+    the query stack against the member stack whenever the measure has a
+    stacked norm form and the shapes allow it.
+    """
+    if measure.func is _dtw_dependent:
+        return np.array(
+            [[_pair_distance(A, B, measure, None) for B in members]
+             for A in query_matrices]
+        )
+    n_queries = len(query_matrices)
+    values = _pair_values(
+        list(query_matrices) + list(members),
+        _cross_pairs(n_queries, len(members), n_queries),
+        measure,
+    )
+    return values.reshape(n_queries, len(members))
 
 
 def nearest_group(
@@ -227,7 +261,9 @@ def nearest_group(
     )
     query_norms = None
     if use_bounds and measure.func is not _dtw_dependent:
-        query_norms = [measure_norm(measure, A) for A in query_matrices]
+        query_norms = np.array(
+            [measure_norm(measure, A) for A in query_matrices]
+        )
     best = np.inf
     best_name: str | None = None
     pruned = 0
@@ -253,12 +289,9 @@ def nearest_group(
                 if float(lbs.mean()) >= best:
                     pruned += lbs.size
                     continue
-            block = np.empty((len(query_matrices), len(indices)))
-            for row, A in enumerate(query_matrices):
-                for col, candidate in enumerate(indices):
-                    block[row, col] = _pair_distance(
-                        A, candidates[candidate], measure, None
-                    )
+            block = _exact_block(
+                query_matrices, [candidates[c] for c in indices], measure
+            )
             value = float(block.mean())
             if value < best:
                 best = value

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.obs.metrics import (
@@ -69,6 +71,60 @@ class TestHistogram:
         assert snap["buckets"] == [1.0, 2.0]
         assert snap["counts"] == [1, 0, 0]
         assert snap["count"] == 1
+
+
+class TestHistogramBulkObserve:
+    BUCKETS = (0.01, 0.1, 1.0, 10.0)
+
+    def _pair(self):
+        """One registry fed bulk calls, one fed single calls."""
+        return [
+            (registry, registry.histogram("h", buckets=self.BUCKETS))
+            for registry in (MetricsRegistry(), MetricsRegistry())
+        ]
+
+    # Values on a dyadic grid (multiples of 1/64, far below 2**53) keep
+    # every product and partial sum exact, so the one rounding of
+    # ``value * count`` and the ``count`` roundings of repeated calls
+    # must agree to the bit — and so must every export.
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 64 * 20), st.integers(1, 40)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_call_equals_n_single_calls(self, observations):
+        (bulk_registry, bulk), (single_registry, single) = self._pair()
+        for numerator, count in observations:
+            value = numerator / 64
+            bulk.observe(value, count=count)
+            for _ in range(count):
+                single.observe(value)
+        assert bulk.counts == single.counts
+        assert bulk.count == single.count
+        assert bulk.sum == single.sum
+        assert bulk_registry.to_json() == single_registry.to_json()
+        assert bulk_registry.to_prometheus() == single_registry.to_prometheus()
+
+    @given(st.floats(0.0, 100.0), st.integers(1, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_buckets_and_count_match_for_any_value(self, value, count):
+        (_, bulk), (_, single) = self._pair()
+        bulk.observe(value, count=count)
+        for _ in range(count):
+            single.observe(value)
+        assert bulk.counts == single.counts
+        assert bulk.count == single.count == count
+        assert bulk.summary() == single.summary()
+        assert bulk.sum == pytest.approx(single.sum, rel=1e-12)
+
+    def test_rejects_non_positive_count(self):
+        h = Histogram("h", buckets=(1.0,))
+        with pytest.raises(ValidationError, match=">= 1"):
+            h.observe(0.5, count=0)
+        assert h.count == 0
 
 
 class TestHistogramQuantiles:
