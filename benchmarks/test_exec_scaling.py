@@ -1,24 +1,23 @@
-"""Execution-substrate benchmarks: the mixed-stage DAG and zero-copy IPC.
+"""Execution-substrate benchmarks: zero-copy IPC on the distance path.
 
 Not a paper figure — this bench guards the execution substrate
 (``repro.exec``, see "The execution substrate" in
-``docs/performance.md``):
+``docs/performance.md``) on the production path that publishes through
+shared memory, :func:`repro.similarity.evaluation.distance_matrix`:
 
-- the mixed-stage pipeline DAG (simulations → representation →
-  distance chunks, with fits interleaved) must produce bit-identical
-  results at jobs=1 and jobs=4;
 - shared-memory array passing must ship fewer per-task IPC bytes than
-  the pickled baseline, without changing a single output bit.
+  the pickled baseline;
+- switching the array backend must not change a single output bit.
 
 Numbers are written to ``BENCH_exec.json`` (path overridable via
 ``REPRO_BENCH_EXEC_OUT``) so the scheduled CI job can archive them and
-``repro obs check-bench`` can guard them.  Records follow the
-honest-speedup convention of :func:`benchmarks.conftest.scaling_record`.
+``repro obs check-bench`` can guard them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import time
@@ -26,11 +25,18 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import print_header, scaling_record
+from benchmarks.conftest import print_header
 from repro.exec.arrays import ArrayStore
-from repro.exec.stages import pipeline_dag, run_pipeline
+from repro.similarity.evaluation import (
+    PAIR_CHUNK_TARGET,
+    _chunk_payload,
+    distance_matrix,
+    representation_matrices,
+)
 from repro.similarity.measures import get_measure
-from repro.workloads import SKU, enumerate_grid, workload_by_name
+from repro.similarity.representations import RepresentationBuilder
+from repro.utils.parallel import chunk_bounds
+from repro.workloads import SKU, enumerate_grid, execute_grid, workload_by_name
 
 pytestmark = pytest.mark.slow
 
@@ -65,6 +71,14 @@ def grid():
 
 
 @pytest.fixture(scope="module")
+def matrices(grid):
+    """One Hist-FP matrix per simulated experiment."""
+    corpus = execute_grid(grid)
+    builder = RepresentationBuilder().fit(corpus)
+    return representation_matrices(corpus, builder, "hist")
+
+
+@pytest.fixture(scope="module")
 def measure():
     return get_measure("L2,1")
 
@@ -75,66 +89,21 @@ def timed(fn):
     return value, time.perf_counter() - start
 
 
-def pipeline_identical(a, b) -> bool:
-    if not np.array_equal(a["distances"], b["distances"]):
-        return False
-    return all(
-        np.array_equal(a[key], b[key])
-        for key in ("fit:throughput", "fit:latency_ms")
-    )
+def test_zero_copy_ipc_bytes(matrices, measure):
+    """Shared-memory refs ship fewer bytes per distance chunk."""
+    pairs = np.column_stack(np.triu_indices(len(matrices), 1))
+    size = max(1, math.ceil(len(pairs) / PAIR_CHUNK_TARGET))
+    chunks = [pairs[a:b] for a, b in chunk_bounds(len(pairs), size)]
 
+    def per_task(shipped) -> float:
+        return float(np.mean([
+            len(pickle.dumps((*_chunk_payload(shipped, chunk), measure, i)))
+            for i, chunk in enumerate(chunks)
+        ]))
 
-def test_mixed_stage_dag_scaling(grid, measure):
-    """jobs=4 over the mixed-stage DAG is bit-identical to jobs=1."""
-    serial, serial_s = timed(
-        lambda: run_pipeline(grid, measure=measure, jobs=1)
-    )
-    parallel, parallel_s = timed(
-        lambda: run_pipeline(grid, measure=measure, jobs=4)
-    )
-    record = scaling_record(serial_s, parallel_s, jobs=4)
-    identical = pipeline_identical(serial, parallel)
-    n_tasks = serial.report.n_tasks
-
-    print_header("Execution substrate: mixed-stage pipeline DAG")
-    print(f"tasks     : {n_tasks}  "
-          f"({len(grid)} sims, {n_tasks - len(grid) - 4} distance chunks)")
-    print(f"serial    : {serial_s:7.2f}s")
-    if "speedup" in record:
-        print(f"4 workers : {parallel_s:7.2f}s   "
-              f"speedup x{record['speedup']:.2f}   "
-              f"({record['cpu_count']} cores)")
-    else:
-        print(f"4 workers : {parallel_s:7.2f}s   "
-              f"(insufficient cores: {record['cpu_count']})")
-    RESULTS["mixed_stage_dag"] = {
-        "n_tasks": int(n_tasks),
-        "bit_identical": identical,
-        **record,
-    }
-    assert identical, "mixed-stage DAG diverged between jobs=1 and jobs=4"
-
-
-def test_zero_copy_ipc_bytes(grid, measure):
-    """Shared-memory refs ship orders of magnitude fewer bytes per task."""
-    results = run_pipeline(grid, measure=measure, jobs=1)
-    matrices = results["rep:hist"]
-    tasks = pipeline_dag(grid, measure=measure)
-    chunks = [
-        task.payload[1] for task in tasks if task.key.startswith("dist:")
-    ]
     with ArrayStore() as store:
-        refs = [store.put(matrix) for matrix in matrices]
-        pickled_bytes = [
-            len(pickle.dumps((matrices, chunk, measure, i)))
-            for i, chunk in enumerate(chunks)
-        ]
-        ref_bytes = [
-            len(pickle.dumps((refs, chunk, measure, i)))
-            for i, chunk in enumerate(chunks)
-        ]
-    pickled_per_task = float(np.mean(pickled_bytes))
-    ref_per_task = float(np.mean(ref_bytes))
+        ref_per_task = per_task([store.put(M) for M in matrices])
+    pickled_per_task = per_task(matrices)
     factor = pickled_per_task / ref_per_task
 
     print_header("Execution substrate: per-task IPC bytes (distance chunk)")
@@ -153,25 +122,17 @@ def test_zero_copy_ipc_bytes(grid, measure):
     )
 
 
-def test_pickled_vs_shared_memory_runs(grid, measure):
+def test_pickled_vs_shared_memory_runs(matrices, measure, monkeypatch):
     """The array backend changes IPC mechanics, never a result bit."""
-    env_key = "REPRO_EXEC_ARRAYS"
-    previous = os.environ.get(env_key)
-    try:
-        os.environ[env_key] = "off"
-        pickled, pickled_s = timed(
-            lambda: run_pipeline(grid, measure=measure, jobs=4)
-        )
-        os.environ[env_key] = "auto"
-        shared, shared_s = timed(
-            lambda: run_pipeline(grid, measure=measure, jobs=4)
-        )
-    finally:
-        if previous is None:
-            os.environ.pop(env_key, None)
-        else:
-            os.environ[env_key] = previous
-    identical = pipeline_identical(pickled, shared)
+    monkeypatch.setenv("REPRO_EXEC_ARRAYS", "off")
+    pickled, pickled_s = timed(
+        lambda: distance_matrix(matrices, measure, jobs=4)
+    )
+    monkeypatch.setenv("REPRO_EXEC_ARRAYS", "auto")
+    shared, shared_s = timed(
+        lambda: distance_matrix(matrices, measure, jobs=4)
+    )
+    identical = bool(np.array_equal(pickled, shared))
     cores = os.cpu_count() or 1
 
     print_header("Execution substrate: pickled vs shared-memory passing")
@@ -186,4 +147,4 @@ def test_pickled_vs_shared_memory_runs(grid, measure):
     if cores < 2:
         record["insufficient_cores"] = True
     RESULTS["array_backends"] = record
-    assert identical, "array backend changed pipeline results"
+    assert identical, "array backend changed distance_matrix results"

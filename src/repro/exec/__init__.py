@@ -15,22 +15,19 @@ into one place:
   *concurrent* writers, not just single-writer tails.
 - :mod:`repro.exec.arrays` — content-addressed zero-copy array passing
   over ``multiprocessing.shared_memory`` (np.memmap spool files as the
-  fallback), so workers stop pickling full matrices.
+  fallback), so workers stop pickling full matrices, and
+  :func:`~repro.exec.arrays.float64_digest`, the one float64 content
+  address the distance and fit caches key their entries on.
 - :mod:`repro.exec.engine` — one task engine with the full gridexec
   semantics: RetryPolicy, quarantine, BrokenProcessPool rebuild with a
   last-chance serial attempt, serial fallback when no pool can be
   created (``<label>.pool_fallback_total``), resume-journal recording,
   and submission-order telemetry merge so serial == jobs=N bit-for-bit.
-- :mod:`repro.exec.dag` — a task-DAG scheduler on top of the engine:
-  tasks declare content-address-fingerprinted inputs/outputs and
-  dependencies, the scheduler topo-sorts them so simulation, distance
-  chunks, and model fits from *different* pipeline stages interleave in
-  one ``ProcessPoolExecutor`` instead of stage-by-stage barriers.
-- :mod:`repro.exec.stages` — ready-made DAG builders for the paper's
-  pipeline (corpus simulation → representations → distances → fits).
 
-See ``docs/performance.md`` (execution substrate section) for the DAG
-model, the fingerprint keys, and the shared-memory lifecycle.
+``run_tasks`` is the only scheduler and :mod:`repro.exec.engine` the
+only module that builds a ``ProcessPoolExecutor``.  See
+``docs/performance.md`` (execution substrate section) for the engine,
+the shared-memory lifecycle and the persistent pool.
 """
 
 from repro.exec.arrays import (
@@ -41,7 +38,6 @@ from repro.exec.arrays import (
     resolve_refs,
     set_ambient_store,
 )
-from repro.exec.dag import DagResults, DagTask, Input, run_dag
 from repro.exec.engine import (
     ExecReport,
     ExecResults,
@@ -57,12 +53,9 @@ from repro.exec.journal import append_jsonl, load_jsonl
 __all__ = [
     "ArrayRef",
     "ArrayStore",
-    "DagResults",
-    "DagTask",
     "ExecReport",
     "ExecResults",
     "ExecTask",
-    "Input",
     "PersistentPool",
     "ambient_store",
     "append_jsonl",
@@ -72,7 +65,6 @@ __all__ = [
     "persistent_pool",
     "resolve_refs",
     "run_tasks",
-    "run_dag",
     "set_ambient_store",
     "set_persistent_pool",
 ]

@@ -162,6 +162,20 @@ class ArrayRef:
         return count * np.dtype(self.dtype).itemsize
 
 
+def float64_digest(values) -> str:
+    """SHA-256 content address of ``values`` as float64: shape plus bytes.
+
+    The key the distance and fit caches address entries by.  Unlike
+    :func:`array_ref_digest` it hashes no dtype, so an array and its
+    float64 cast share one digest.
+    """
+    arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    digest = hashlib.sha256()
+    digest.update(repr(arr.shape).encode("utf-8"))
+    digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 def array_ref_digest(arr: np.ndarray) -> str:
     """SHA-256 content address preserving dtype (exact byte round-trip)."""
     arr = np.ascontiguousarray(arr)
@@ -175,9 +189,11 @@ def array_ref_digest(arr: np.ndarray) -> str:
 class ArrayStore:
     """Parent-side registry of published arrays, content-deduplicated.
 
-    One store serves one engine/DAG run: the parent publishes every
-    array its tasks reference, ships the refs, and frees the segments
-    when the run is over.  Publishing is idempotent per content digest.
+    One store serves one fan-out (a distance or forest call) or, when
+    installed as the ambient store, a whole process: the parent
+    publishes every array its tasks reference, ships the refs, and
+    frees the segments when it is done.  Publishing is idempotent per
+    content digest.
     """
 
     def __init__(self, backend: str | None = None, spool_dir=None):

@@ -35,8 +35,7 @@ import math
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
+from repro.exec.arrays import float64_digest
 from repro.exec.engine import ExecTask, run_tasks
 from repro.exec.journal import append_jsonl, load_jsonl
 from repro.obs.logging import get_logger
@@ -50,14 +49,8 @@ logger = get_logger(__name__)
 #: existing entry stops being addressable.
 FIT_CACHE_FORMAT_VERSION = 1
 
-
-def array_digest(values) -> str:
-    """SHA-256 content address of an array (shape plus float64 bytes)."""
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    digest = hashlib.sha256()
-    digest.update(repr(arr.shape).encode("utf-8"))
-    digest.update(arr.tobytes())
-    return digest.hexdigest()
+#: SHA-256 content address of an array (shape plus float64 bytes).
+array_digest = float64_digest
 
 
 def fit_key(

@@ -60,14 +60,6 @@ from repro.workloads.sampling import augmented_throughputs
 logger = get_logger(__name__)
 
 
-def load_references(path) -> ExperimentRepository:
-    """Load a reference corpus from ``.json`` or ``.npz``."""
-    path = str(path)
-    if path.endswith(".npz"):
-        return ExperimentRepository.load_npz(path)
-    return ExperimentRepository.load(path)
-
-
 class PredictionService:
     """Warm pipeline state answering rank and predict requests."""
 

@@ -34,8 +34,7 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
+from repro.exec.arrays import float64_digest
 from repro.exec.journal import append_jsonl, load_jsonl
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_metrics
@@ -46,14 +45,8 @@ logger = get_logger(__name__)
 #: existing entry stops being addressable.
 DISTANCE_CACHE_FORMAT_VERSION = 1
 
-
-def matrix_digest(matrix: np.ndarray) -> str:
-    """SHA-256 content address of a representation matrix."""
-    arr = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
-    digest = hashlib.sha256()
-    digest.update(repr(arr.shape).encode("utf-8"))
-    digest.update(arr.tobytes())
-    return digest.hexdigest()
+#: SHA-256 content address of a representation matrix.
+matrix_digest = float64_digest
 
 
 def pair_key(digest_a: str, digest_b: str, measure_name: str) -> str:

@@ -20,7 +20,7 @@ import os
 
 from repro.exceptions import ValidationError
 
-#: Exceptions raised by ``ProcessPoolExecutor(...)`` in environments
+#: Exceptions raised by building a ``ProcessPoolExecutor`` in environments
 #: where no pool can exist (no /dev/shm, seccomp'd clone, 0 CPUs …).
 #: Callers catch these and fall back to serial execution.
 POOL_UNAVAILABLE_ERRORS = (OSError, PermissionError, ValueError)

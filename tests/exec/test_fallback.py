@@ -5,9 +5,8 @@ sandboxed CI, exhausted file descriptors), every parallel engine must
 fall back to serial execution with one increment of
 ``<label>.pool_fallback_total`` and produce results bit-identical to a
 serial run.  Historically gridexec and fitexec disagreed on both points;
-all engines now route through :mod:`repro.exec.engine` /
-:mod:`repro.exec.dag`, and this file injects the fault against each
-public entry point to keep them aligned.
+all engines now route through :mod:`repro.exec.engine`, and this file
+injects the fault against each public entry point to keep them aligned.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec.dag import DagTask, Input, run_dag
 from repro.ml.fitexec import run_units
 from repro.ml.forest import RandomForestRegressor
 from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -36,7 +34,6 @@ def no_pool(monkeypatch):
     monkeypatch.setattr(
         "repro.exec.engine.ProcessPoolExecutor", _NoPool
     )
-    monkeypatch.setattr("repro.exec.dag.ProcessPoolExecutor", _NoPool)
 
 
 @pytest.fixture
@@ -53,15 +50,6 @@ def _fallbacks(registry, label):
 
 def _square(unit):
     return unit * unit
-
-
-def _const(payload, attempt, in_worker):
-    (value,) = payload
-    return value
-
-
-def _add(payload, attempt, in_worker):
-    return sum(payload)
 
 
 class TestGridexecFallback:
@@ -117,20 +105,3 @@ class TestForestFallback:
         np.testing.assert_array_equal(
             serial.predict(X), fallen.predict(X)
         )
-
-
-class TestDagFallback:
-    def test_serial_fallback_with_metric(self, no_pool, fresh_metrics):
-        tasks = [
-            DagTask(key="a", fn=_const, payload=(1,)),
-            DagTask(key="b", fn=_add, payload=(Input("a"), 10),
-                    deps=("a",)),
-            DagTask(key="c", fn=_add, payload=(Input("a"), 100),
-                    deps=("a",)),
-            DagTask(key="d", fn=_add, payload=(Input("b"), Input("c")),
-                    deps=("b", "c")),
-        ]
-        results = run_dag(tasks, jobs=4, label="exec.dag")
-        assert _fallbacks(fresh_metrics, "exec.dag") == 1
-        assert dict(results) == {"a": 1, "b": 11, "c": 101, "d": 112}
-        assert results.report.pool_fallbacks == 1

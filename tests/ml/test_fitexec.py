@@ -66,6 +66,17 @@ class TestFitKey:
             estimator="e", arrays={"X": X}
         ) != fit_key(estimator="e", arrays={"y": X})
 
+    def test_key_is_pinned(self):
+        # Existing on-disk caches stay addressable only while this holds.
+        key = fit_key(
+            estimator="Ridge",
+            arrays={"X": np.arange(6.0).reshape(2, 3), "y": np.arange(2.0)},
+            params={"alpha": 1.0}, seed=0, fold="kfold5", scorer="r2",
+        )
+        assert key == (
+            "fc6cfd3317605ccc3521fa5b978ee1f97cc48e118cc302236c8bccbe88ab7957"
+        )
+
     def test_array_digest_shape_sensitive(self):
         flat = np.arange(6.0)
         assert array_digest(flat) != array_digest(flat.reshape(2, 3))

@@ -35,6 +35,12 @@ class TestKeys:
             a.reshape(3, 4)
         )
 
+    def test_digest_is_pinned(self):
+        # Existing on-disk caches stay addressable only while this holds.
+        assert matrix_digest(np.arange(6.0).reshape(2, 3)) == (
+            "4d3cd88d15068443d79721efe52afe7434a70bbcecefbb2b142e1e3a259ed10a"
+        )
+
     def test_pair_key_is_symmetric(self):
         da = matrix_digest(np.ones((2, 2)))
         db = matrix_digest(np.zeros((2, 2)))
