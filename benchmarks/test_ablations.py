@@ -36,10 +36,9 @@ from repro.workloads.features import ALL_FEATURES, RESOURCE_FEATURES
 def hist_scores(corpus, *, n_bins=10, cumulative=True, features=None):
     """(1-NN accuracy, discrimination margin) for one Hist-FP variant."""
     builder = RepresentationBuilder(n_bins=n_bins).fit(corpus)
-    matrices = [
-        builder.hist_fp(result, features=features, cumulative=cumulative)
-        for result in corpus
-    ]
+    matrices = list(
+        builder.hist_fps(corpus, features=features, cumulative=cumulative)
+    )
     D = distance_matrix(matrices, get_measure("L2,1"))
     labels = corpus.labels()
     stats = pairwise_workload_distances(D, labels)

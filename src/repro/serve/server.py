@@ -32,6 +32,10 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response leaves as two writes (headers, then body),
+    # and with Nagle's algorithm the body would wait for the client's
+    # delayed ACK of the headers, ~40 ms on every keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- request plumbing ------------------------------------------------------
     def _read_payload(self):

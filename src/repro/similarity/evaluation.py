@@ -54,14 +54,21 @@ def representation_matrices(
     *,
     features=None,
 ) -> list[np.ndarray]:
-    """Build one representation matrix per experiment in the corpus."""
-    matrices = [
+    """Build one representation matrix per experiment in the corpus.
+
+    Hist-FP fingerprints come from one batched pass over the whole corpus
+    (:meth:`RepresentationBuilder.hist_fps`); MTS and Phase-FP are built
+    per experiment.
+    """
+    corpus = list(corpus)
+    if not corpus:
+        raise ValidationError("corpus must not be empty")
+    if representation == "hist":
+        return list(builder.hist_fps(corpus, features=features))
+    return [
         builder.build(result, representation, features=features)
         for result in corpus
     ]
-    if not matrices:
-        raise ValidationError("corpus must not be empty")
-    return matrices
 
 
 def _is_elastic(measure: MeasureSpec) -> bool:

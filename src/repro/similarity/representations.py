@@ -47,9 +47,71 @@ def equi_width_cumulative_histogram(
     if hi <= lo:
         # All mass in the first bin; cumulative distribution is all ones.
         return np.ones(n_bins)
-    clipped = np.clip(arr, lo, hi)
-    counts, _ = np.histogram(clipped, bins=n_bins, range=(lo, hi))
-    return np.cumsum(counts / arr.size)
+    sizes = np.array([arr.size])
+    return _segment_histograms(
+        np.clip(arr, lo, hi), sizes, n_bins, lo, hi, cumulative=True
+    )[0]
+
+
+def _segment_histograms(
+    values: np.ndarray,
+    sizes: np.ndarray,
+    n_bins: int,
+    low: float,
+    high: float,
+    *,
+    cumulative: bool,
+) -> np.ndarray:
+    """Relative-frequency histograms of consecutive segments of ``values``.
+
+    ``values`` holds the segments back to back and ``sizes`` their
+    lengths; row ``i`` of the ``(len(sizes), n_bins)`` result is segment
+    ``i``'s ``numpy.histogram(segment, bins=n_bins, range=(low, high))``
+    counts divided by the segment's size, accumulated along the bins
+    when ``cumulative``.  Bins are assigned with ``numpy.histogram``'s
+    own uniform-bin arithmetic — the same ``np.linspace`` edges, the same
+    index computation and its one-step corrections at the edges, the
+    last bin closed — so every row is bit-identical to that call.
+    Values outside ``[low, high]`` and NaN are not counted but stay in
+    the denominator.  All segments are counted by one ``np.bincount``
+    over ``(segment, bin)``.
+    """
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValidationError(f"histogram range [{low}, {high}] is not finite")
+    edges = np.linspace(low, high, n_bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValidationError(
+            f"cannot split [{low}, {high}] into {n_bins} finite-sized bins"
+        )
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    keep = (values >= low) & (values <= high)
+    values, segment = values[keep], segment[keep]
+    bins = ((values - low) / (high - low) * n_bins).astype(np.intp)
+    bins[bins == n_bins] -= 1
+    bins[values < edges[bins]] -= 1
+    bins[(values >= edges[bins + 1]) & (bins != n_bins - 1)] += 1
+    counts = np.bincount(
+        segment * n_bins + bins, minlength=sizes.size * n_bins
+    ).reshape(sizes.size, n_bins)
+    frequencies = counts / sizes[:, None]
+    return np.cumsum(frequencies, axis=1) if cumulative else frequencies
+
+
+def _gather(results: list, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """One feature's samples of every experiment back to back, and counts.
+
+    An experiment without samples of the feature is rejected here, before
+    any segmented reduction could silently read its neighbour's values.
+    """
+    samples = [result.feature_samples(name) for result in results]
+    sizes = np.array([s.size for s in samples], dtype=np.intp)
+    if not sizes.all():
+        empty = results[int(np.argmin(sizes))]
+        raise ValidationError(
+            f"feature {name!r} of experiment {empty.experiment_id} "
+            "has no samples"
+        )
+    return np.concatenate(samples), sizes
 
 
 def _stat(values: np.ndarray, stat: str) -> float:
@@ -117,11 +179,15 @@ class RepresentationBuilder:
         if not experiments:
             raise ValidationError("corpus must contain at least one experiment")
         for name in self.feature_names:
-            low, high = np.inf, -np.inf
-            for result in experiments:
-                samples = result.feature_samples(name)
-                low = min(low, float(samples.min()))
-                high = max(high, float(samples.max()))
+            values, sizes = _gather(experiments, name)
+            starts = np.cumsum(sizes) - sizes
+            lows = np.minimum.reduceat(values, starts)
+            highs = np.maximum.reduceat(values, starts)
+            # An experiment with any NaN sample adds nothing to the
+            # feature's range: its reduced min and max are NaN.
+            clean = ~np.isnan(lows)
+            low = float(lows[clean].min()) if clean.any() else np.inf
+            high = float(highs[clean].max()) if clean.any() else -np.inf
             # Soft floor: values are measured against a millionth of the
             # feature's peak, so the dynamic-range test and the log
             # transform behave identically for features living at 1e-3 and
@@ -198,20 +264,37 @@ class RepresentationBuilder:
         normalized observations; with ``cumulative=True`` (the paper's
         choice) bins hold the cumulative distribution instead.
         """
+        return self.hist_fps(
+            [result], features=features, cumulative=cumulative
+        )[0]
+
+    def hist_fps(
+        self, results, *, features=None, cumulative: bool = True
+    ) -> np.ndarray:
+        """Histogram fingerprints of many experiments, ``(n, n_bins, k)``.
+
+        One pass per feature over all experiments: their samples are
+        concatenated, normalized once and binned by one segmented count,
+        and each ``[i]`` is bit-identical to ``hist_fp(results[i])``
+        built alone.  An experiment with no samples of a selected
+        feature raises :class:`ValidationError`.
+        """
         names = self._select(features)
-        fingerprint = np.empty((self.n_bins, len(names)))
+        results = list(results)
+        if not results:
+            raise ValidationError("results must contain at least one experiment")
+        fingerprints = np.empty((len(results), self.n_bins, len(names)))
         for j, name in enumerate(names):
-            normalized = self._normalize(result.feature_samples(name), name)
-            if cumulative:
-                fingerprint[:, j] = equi_width_cumulative_histogram(
-                    normalized, self.n_bins, low=0.0, high=1.0
-                )
-            else:
-                counts, _ = np.histogram(
-                    normalized, bins=self.n_bins, range=(0.0, 1.0)
-                )
-                fingerprint[:, j] = counts / max(normalized.size, 1)
-        return fingerprint
+            values, sizes = _gather(results, name)
+            fingerprints[:, :, j] = _segment_histograms(
+                self._normalize(values, name),
+                sizes,
+                self.n_bins,
+                0.0,
+                1.0,
+                cumulative=cumulative,
+            )
+        return fingerprints
 
     def phase_fp(
         self, result: ExperimentResult, *, features=None

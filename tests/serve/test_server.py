@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -78,6 +80,44 @@ def test_invalid_json_body_400(live_server):
 def test_http_json_raises_on_unreachable():
     with pytest.raises(ServeError):
         http_json("GET", "http://127.0.0.1:9/healthz", timeout=2)
+
+
+class _StubApp:
+    """Answers every request at once, so only the transport is timed."""
+
+    def handle(self, method, path, payload):
+        return 200, {"ok": True, "echo": payload}, "application/json"
+
+
+def test_keepalive_responses_do_not_stall():
+    """Headers and body leave as two writes; with Nagle's algorithm on,
+    the body waits for the client's delayed ACK (~40 ms per response)."""
+    server = make_server(_StubApp(), port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        body = json.dumps({"target": []})
+        latencies = []
+        for _ in range(30):
+            start = time.perf_counter()
+            connection.request(
+                "POST", "/v1/rank", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {
+                "ok": True, "echo": {"target": []},
+            }
+            latencies.append(time.perf_counter() - start)
+    finally:
+        connection.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert statistics.median(latencies) < 0.010
 
 
 @pytest.mark.slow

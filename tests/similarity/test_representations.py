@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestFitAndNormalization:
     def test_unknown_feature_rejected(self, builder, sample_result):
         with pytest.raises(ValidationError):
             builder.hist_fp(sample_result, features=["Bogus"])
+
+    def test_feature_without_samples_rejected(self, small_corpus):
+        planless = replace(
+            small_corpus[1],
+            plan_matrix=np.empty((0, len(PLAN_FEATURES))),
+            plan_txn_names=[],
+        )
+        with pytest.raises(ValidationError, match="has no samples") as error:
+            RepresentationBuilder().fit([small_corpus[0], planless])
+        assert repr(PLAN_FEATURES[0]) in str(error.value)
+        assert planless.experiment_id in str(error.value)
 
     def test_subset_fit_restricts_features(self, small_corpus, sample_result):
         builder = RepresentationBuilder(("AvgRowSize",)).fit(small_corpus)
