@@ -1,4 +1,4 @@
-"""Analysis-path benchmarks: parallel distances, cache, pruning, ensembles.
+"""Analysis-path benchmarks: parallel distances, cache, ensembles.
 
 Not a paper figure — this bench guards the fast analysis path layered on
 top of the corpus machinery (see ``docs/performance.md``):
@@ -6,8 +6,6 @@ top of the corpus machinery (see ``docs/performance.md``):
 - the parallel pairwise-distance engine must return the bit-identical
   matrix at any worker count, and beat serial when real cores exist;
 - a warm distance cache must recompute zero pairs;
-- lower-bound pruned 1-NN must match the full-matrix answer while
-  skipping a measurable fraction of the dynamic programs;
 - parallel random-forest fits must reproduce the serial trees exactly.
 
 Timings and speedups are written to ``BENCH_analysis.json`` (path
@@ -31,8 +29,6 @@ from repro.similarity import (
     DistanceCache,
     RepresentationBuilder,
     distance_matrix,
-    knn_accuracy,
-    knn_accuracy_pruned,
 )
 from repro.similarity.evaluation import representation_matrices
 from repro.similarity.measures import get_measure
@@ -151,44 +147,6 @@ def test_distance_cache_cold_vs_warm(analysis_matrices, tmp_path_factory):
     n = len(matrices)
     assert warm_hits == n * (n - 1) // 2
     assert np.array_equal(cold, warm), "cache hit path diverged"
-
-
-def test_pruned_knn_exactness_and_skip_rate(analysis_matrices):
-    """Pruned 1-NN equals the full-matrix answer, skipping real work."""
-    matrices, labels = analysis_matrices
-    measure = get_measure("Dependent-DTW")
-    previous = set_metrics(MetricsRegistry())
-    try:
-        D, full_s = timed(lambda: distance_matrix(matrices, measure))
-        full_acc = knn_accuracy(D, np.asarray(labels))
-        set_metrics(registry := MetricsRegistry())
-        pruned_acc, pruned_s = timed(
-            lambda: knn_accuracy_pruned(matrices, labels, measure)
-        )
-        pruned_pairs = registry.counter(
-            "similarity.pairs_pruned_total"
-        ).value
-    finally:
-        set_metrics(previous)
-    n = len(matrices)
-    scanned = n * (n - 1)  # 1-NN scans ordered pairs, not the triangle
-    skip_rate = pruned_pairs / scanned
-
-    print_header("Analysis path: lower-bound pruned 1-NN (Dep-DTW)")
-    print(f"full matrix : {full_s:7.2f}s   accuracy {full_acc:.3f}")
-    print(f"pruned      : {pruned_s:7.2f}s   accuracy {pruned_acc:.3f}")
-    print(f"pruned pairs: {int(pruned_pairs)}/{scanned}"
-          f"   ({skip_rate:.0%} skipped or abandoned)")
-    RESULTS["pruned_knn"] = {
-        "full_matrix_s": full_s,
-        "pruned_s": pruned_s,
-        "accuracy": pruned_acc,
-        "pairs_pruned": int(pruned_pairs),
-        "pairs_scanned": scanned,
-        "skip_rate": skip_rate,
-    }
-    assert pruned_acc == full_acc, "pruned 1-NN diverged from full matrix"
-    assert pruned_pairs > 0, "lower bounds pruned nothing"
 
 
 def test_parallel_forest_fit(table4_corpus):

@@ -938,7 +938,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.exec.arrays import ArrayStore, set_ambient_store
     from repro.exec.engine import PersistentPool, set_persistent_pool
     from repro.serve.app import ServeApp
     from repro.serve.protocol import file_digest
@@ -962,13 +961,10 @@ def _cmd_serve(args) -> int:
         fit_cache=_resolve_fit_cache(args),
     )
     # The server's process-wide performance state: a persistent worker
-    # pool (no per-request pool spin-up) and an ambient shared-memory
-    # store the warmup pins the reference matrices into.
+    # pool, so requests never pay a pool spin-up.
     n_workers = resolve_jobs(args.jobs)
     pool = PersistentPool(n_workers) if n_workers > 1 else None
     previous_pool = set_persistent_pool(pool) if pool is not None else None
-    store = ArrayStore()
-    previous_store = set_ambient_store(store)
     try:
         service = PredictionService(
             references, config, n_subexperiments=args.subexperiments
@@ -999,8 +995,6 @@ def _cmd_serve(args) -> int:
         )
         return 0 if drained else 1
     finally:
-        set_ambient_store(previous_store)
-        store.close()
         if pool is not None:
             set_persistent_pool(previous_pool)
             pool.close()

@@ -5,19 +5,16 @@ Before this package existed the repo ran four parallel executors —
 :func:`repro.similarity.evaluation.distance_matrix` (pair chunks),
 :func:`repro.ml.fitexec.run_units` (fit/score units), and the forest
 tree batches — each with its own pool, retry, journal, and
-torn-tail-healing JSONL logic, and each paying full-pickle IPC for
-every array it shipped to a worker.  ``repro.exec`` factors all of that
+torn-tail-healing JSONL logic.  ``repro.exec`` factors all of that
 into one place:
 
 - :mod:`repro.exec.journal` — the single torn-tail-healing JSONL
   append/load discipline (ResumeJournal, FitCache, DistanceCache, and
   the run ledger all build on it), with appends that are safe under
   *concurrent* writers, not just single-writer tails.
-- :mod:`repro.exec.arrays` — content-addressed zero-copy array passing
-  over ``multiprocessing.shared_memory`` (np.memmap spool files as the
-  fallback), so workers stop pickling full matrices, and
-  :func:`~repro.exec.arrays.float64_digest`, the one float64 content
-  address the distance and fit caches key their entries on.
+- :mod:`repro.exec.arrays` — :func:`~repro.exec.arrays.float64_digest`,
+  the one float64 content address the distance and fit caches key
+  their entries on.
 - :mod:`repro.exec.engine` — one task engine with the full gridexec
   semantics: RetryPolicy, quarantine, BrokenProcessPool rebuild with a
   last-chance serial attempt, serial fallback when no pool can be
@@ -25,19 +22,11 @@ into one place:
   and submission-order telemetry merge so serial == jobs=N bit-for-bit.
 
 ``run_tasks`` is the only scheduler and :mod:`repro.exec.engine` the
-only module that builds a ``ProcessPoolExecutor``.  See
-``docs/performance.md`` (execution substrate section) for the engine,
-the shared-memory lifecycle and the persistent pool.
+only module that builds a ``ProcessPoolExecutor``; arrays reach workers
+pickled inside the task payload.  See ``docs/performance.md``
+(execution substrate section) for the engine and the persistent pool.
 """
 
-from repro.exec.arrays import (
-    ArrayRef,
-    ArrayStore,
-    ambient_store,
-    detach_all,
-    resolve_refs,
-    set_ambient_store,
-)
 from repro.exec.engine import (
     ExecReport,
     ExecResults,
@@ -51,20 +40,14 @@ from repro.exec.engine import (
 from repro.exec.journal import append_jsonl, load_jsonl
 
 __all__ = [
-    "ArrayRef",
-    "ArrayStore",
     "ExecReport",
     "ExecResults",
     "ExecTask",
     "PersistentPool",
-    "ambient_store",
     "append_jsonl",
-    "detach_all",
     "get_persistent_pool",
     "load_jsonl",
     "persistent_pool",
-    "resolve_refs",
     "run_tasks",
-    "set_ambient_store",
     "set_persistent_pool",
 ]

@@ -22,9 +22,9 @@ semantics so every stage gets the full treatment:
   ``<label>.pool_fallback_total`` — identical behavior and metric
   across every engine (this used to differ between gridexec and
   fitexec);
-- task payloads may contain :class:`~repro.exec.arrays.ArrayRef`
-  handles; the worker shell resolves them against shared memory before
-  the task body runs, on the serial and parallel paths alike.
+- task payloads, arrays included, are handed to the pool as they are
+  and pickled into its IPC pipe; the serial path passes the very same
+  objects to the same task function.
 
 The determinism contract is inherited unchanged: task functions are
 pure, every task runs under
@@ -33,8 +33,7 @@ parent merges snapshots in task-index (submission) order — so results
 *and* merged telemetry are bit-identical at any worker count.
 
 A task function must be module-level (picklable) with the signature
-``fn(payload, attempt, in_worker)``; ``payload`` arrives with refs
-already resolved.
+``fn(payload, attempt, in_worker)``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.exceptions import ValidationError
-from repro.exec.arrays import resolve_refs
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import capture_telemetry, merge_snapshot
@@ -272,16 +270,6 @@ class persistent_pool:
         self.pool.close()
 
 
-def _shell(fn, payload, attempt, in_worker, tracing):
-    """The unit shipped to workers (and called in-process when serial).
-
-    Resolves shared-memory refs in the payload, then runs the task body
-    under telemetry capture; returns ``(result, TelemetrySnapshot)``.
-    """
-    payload = resolve_refs(payload)
-    return capture_telemetry(fn, payload, attempt, in_worker, tracing=tracing)
-
-
 class _Run:
     """Mutable state of one :func:`run_tasks` invocation."""
 
@@ -354,8 +342,9 @@ def _run_serial(run: _Run, items, retry: RetryPolicy) -> None:
         attempt = first_attempt
         while True:
             try:
-                result, telemetry = _shell(
-                    task.fn, task.payload, attempt, False, run.tracing
+                result, telemetry = capture_telemetry(
+                    task.fn, task.payload, attempt, False,
+                    tracing=run.tracing,
                 )
                 if run.validate is not None:
                     run.validate(result)
@@ -420,8 +409,8 @@ def _run_parallel(run: _Run, tasks, n_workers: int) -> None:
                 for item in queue:
                     task, attempt = item
                     futures[pool.submit(
-                        _shell, task.fn, task.payload, attempt, True,
-                        run.tracing,
+                        capture_telemetry, task.fn, task.payload, attempt,
+                        True, tracing=run.tracing,
                     )] = item
             except BrokenExecutor:
                 broken = True
@@ -451,8 +440,9 @@ def _run_parallel(run: _Run, tasks, n_workers: int) -> None:
                             _sleep_backoff(retry, next_attempt)
                             try:
                                 new = pool.submit(
-                                    _shell, task.fn, task.payload,
-                                    next_attempt, True, run.tracing,
+                                    capture_telemetry, task.fn,
+                                    task.payload, next_attempt, True,
+                                    tracing=run.tracing,
                                 )
                             except BrokenExecutor:
                                 broken = True

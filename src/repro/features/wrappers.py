@@ -17,9 +17,8 @@ so both ride the evaluation fast path (:mod:`repro.ml.fitexec`):
   step over a process pool.  Candidate scores are computed by the exact
   same worker function serially and in parallel and the greedy argmax
   walks them in the serial order, so the selected feature order is
-  **bit-identical at any worker count**.  (RFE accepts ``jobs`` for API
-  symmetry, but its elimination steps are inherently sequential — one
-  fit per step — so the knob has no effect there.)
+  **bit-identical at any worker count**.  RFE's elimination steps are
+  inherently sequential — one fit per step — so it takes no ``jobs``.
 - ``fit_cache`` memoizes each candidate's CV score (and each RFE step's
   importance vector) under a content address; a warm re-run of a
   selection performs zero model fits.
@@ -114,7 +113,6 @@ class RecursiveFeatureElimination(RankBasedSelector):
         estimator: str = "logreg",
         *,
         step: int = 1,
-        jobs: int | None = None,
         fit_cache=None,
     ):
         if estimator not in ESTIMATOR_NAMES:
@@ -125,7 +123,6 @@ class RecursiveFeatureElimination(RankBasedSelector):
             raise ValidationError(f"step must be >= 1, got {step}")
         self.estimator = estimator
         self.step = step
-        self.jobs = jobs  # accepted for API symmetry; RFE is sequential
         self.fit_cache = fit_cache
         self.name = f"RFE {estimator}"
 

@@ -4,15 +4,13 @@ The embedded feature-selection strategy of Section 4.1.2 reads the
 forest-averaged impurity importances (``feature_importances_``).
 
 ``fit`` accepts ``jobs`` (constructor parameter) to fan per-tree builds
-out over the shared :func:`repro.exec.engine.run_tasks` engine, with
-the training matrix published once into shared memory
-(:class:`repro.exec.arrays.ArrayStore`) instead of pickled per batch.
-Parallel fits are **bit-identical**
-to serial ones: the parent draws every bootstrap sample from the
-pre-spawned per-tree generators *before* dispatch — preserving the
-serial draw order — and ships each (sample, mutated generator) pair to
-a worker, so the split-feature subsampling inside the tree consumes
-exactly the stream it would have seen serially.
+out over the shared :func:`repro.exec.engine.run_tasks` engine; each
+tree batch carries the training matrix in its payload.  Parallel fits
+are **bit-identical** to serial ones: the parent draws every bootstrap
+sample from the pre-spawned per-tree generators *before* dispatch —
+preserving the serial draw order — and ships each (sample, mutated
+generator) pair to a worker, so the split-feature subsampling inside
+the tree consumes exactly the stream it would have seen serially.
 ``tests/ml/test_parallel_ensembles.py`` asserts identical trees,
 importances, and predictions.
 """
@@ -22,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.exec.arrays import acquire_store
 from repro.exec.engine import ExecTask, run_tasks
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
@@ -85,7 +82,7 @@ def _fit_tree_batch_body(
 
 
 def _tree_batch_unit(payload, attempt: int, in_worker: bool):
-    """Engine adapter: one tree batch, X/y shared-memory refs resolved."""
+    """Engine adapter: one tree batch."""
     tree_cls, tree_params, X, y, samples, rngs, batch_index = payload
     return _fit_tree_batch_body(
         tree_cls, tree_params, X, y, samples, rngs, batch_index
@@ -141,47 +138,27 @@ class _BaseForest(BaseEstimator):
             )
             if batch.size
         ]
+        tasks = [
+            ExecTask(
+                index=index,
+                fn=_tree_batch_unit,
+                payload=(
+                    tree_cls,
+                    tree_params,
+                    X,
+                    y,
+                    [samples[i] for i in batch],
+                    [generators[i] for i in batch],
+                    index,
+                ),
+                task_id=f"tree-batch-{index}",
+            )
+            for index, batch in enumerate(batches)
+        ]
         with span(
             "ml.forest.fit",
             attrs={"n_estimators": self.n_estimators, "workers": n_workers},
         ):
-            self._dispatch_batches(
-                X, y, tree_cls, tree_params, samples, generators,
-                batches, n_workers,
-            )
-        get_metrics().counter("ml.trees_fit_total").inc(self.n_estimators)
-
-    def _dispatch_batches(
-        self, X, y, tree_cls, tree_params, samples, generators,
-        batches, n_workers,
-    ) -> None:
-        # On the parallel path X and y are published once into shared
-        # memory and every batch ships refs, so workers stop receiving a
-        # pickled copy of the training matrix per batch.
-        store, owned = acquire_store(n_workers > 1 and len(batches) > 1)
-        try:
-            if store is not None:
-                X_ship = store.put(np.ascontiguousarray(X))
-                y_ship = store.put(np.ascontiguousarray(y))
-            else:
-                X_ship, y_ship = X, y
-            tasks = [
-                ExecTask(
-                    index=index,
-                    fn=_tree_batch_unit,
-                    payload=(
-                        tree_cls,
-                        tree_params,
-                        X_ship,
-                        y_ship,
-                        [samples[i] for i in batch],
-                        [generators[i] for i in batch],
-                        index,
-                    ),
-                    task_id=f"tree-batch-{index}",
-                )
-                for index, batch in enumerate(batches)
-            ]
             outputs = run_tasks(
                 tasks,
                 jobs=n_workers,
@@ -189,12 +166,8 @@ class _BaseForest(BaseEstimator):
                 label="ml.forest",
                 on_error="raise",
             )
-            self.estimators_ = [
-                tree for trees in outputs for tree in trees
-            ]
-        finally:
-            if store is not None and owned:
-                store.close()
+            self.estimators_ = [tree for trees in outputs for tree in trees]
+        get_metrics().counter("ml.trees_fit_total").inc(self.n_estimators)
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -14,8 +14,8 @@ HTTP/JSON service where that repeated work is paid once:
   requests;
 - :mod:`repro.serve.service` — the warm pipeline state: features
   selected once, a representation builder frozen on the references,
-  reference matrices built once and pinned in shared memory, scaling
-  models memoized per (reference, SKU pair);
+  reference matrices built once, scaling models memoized per
+  (reference, SKU pair);
 - :mod:`repro.serve.index` — the warmup-time reference index: matrix
   content digests, workload groups in tie-break order, LB_Keogh
   envelopes / norm values for the pruned predict path;

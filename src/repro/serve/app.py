@@ -269,7 +269,6 @@ class ServeApp:
                 else:
                     for item, ranking in zip(rank_items, rankings):
                         item.result = self.service.rank_response_from(ranking)
-            self.service.prune_temporaries()
 
     def _compute_for_job(self, endpoint: str, payload: dict) -> dict:
         """The job queue's compute hook — same tiers as sync requests."""

@@ -15,20 +15,17 @@ hoists all of it to :meth:`repro.serve.service.PredictionService.warmup`:
 - **LB_Keogh envelopes** (:func:`~repro.similarity.dtw.keogh_envelope`)
   per reference when the measure is Dependent-DTW, and **norm values**
   (:func:`~repro.similarity.pruning.measure_norm`) when it is
-  norm-induced — the precomputed side of the pruned 1-NN cascade;
-- **shared-memory publication**: the matrices are put into the ambient
-  :class:`~repro.exec.arrays.ArrayStore` once and pinned, so batch
-  fan-outs ship content refs, never pickled copies.
+  norm-induced — the precomputed side of the pruned nearest-group
+  cascade (:func:`~repro.similarity.pruning.nearest_group`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.exec.arrays import ambient_store
 from repro.similarity.distcache import matrix_digest
 from repro.similarity.dtw import keogh_envelope
 from repro.similarity.measures import MeasureSpec, _dtw_dependent
@@ -45,7 +42,6 @@ class ReferenceIndex:
     groups: list[tuple[str, list[int]]]
     envelopes: list[tuple[np.ndarray, np.ndarray]] | None
     norms: list[float] | None
-    pinned_digests: set = field(default_factory=set)
 
     @classmethod
     def build(
@@ -82,10 +78,6 @@ class ReferenceIndex:
         norm_values = [measure_norm(measure, M) for M in matrices]
         if all(value is not None for value in norm_values):
             norms = norm_values
-        store = ambient_store()
-        pinned: set = set()
-        if store is not None:
-            pinned = {store.put(matrix).digest for matrix in matrices}
         return cls(
             matrices=list(matrices),
             labels=labels,
@@ -93,7 +85,6 @@ class ReferenceIndex:
             groups=groups,
             envelopes=envelopes,
             norms=norms,
-            pinned_digests=pinned,
         )
 
     def __len__(self) -> int:

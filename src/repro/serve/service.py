@@ -15,11 +15,9 @@ the target-independent work into a one-time warmup and keeps it hot:
   persisted :class:`~repro.similarity.distcache.DistanceCache`.
   Normalization is a monotone per-feature rescale, so the *ordering*
   the ranking reads off the distances is the paper's;
-- **reference matrices** are built once and published into the ambient
-  shared-memory :class:`~repro.exec.arrays.ArrayStore` (when one is
-  installed), pinned so per-request pruning never unpublishes them —
-  distance chunks ship content refs instead of pickled matrices on
-  every request;
+- **reference matrices** are built once and indexed
+  (:class:`~repro.serve.index.ReferenceIndex`): content digests for
+  the distance-cache pre-pass, workload groups, pruning bounds;
 - **scaling models** are memoized per (reference, source SKU, target
   SKU): the SVM fit happens the first time a migration pair is asked
   about, never again.
@@ -40,7 +38,6 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import WorkloadPredictionPipeline
 from repro.core.report import SimilarityRanking
 from repro.exceptions import ServeError, ValidationError
-from repro.exec.arrays import ambient_store
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span
 from repro.prediction.context import PairwiseScalingModel
@@ -110,15 +107,13 @@ class PredictionService:
             }
             # Index the frozen reference side once: content digests for
             # the distance-cache pre-pass, workload groups in corpus
-            # order, pruning envelopes/norms, and shared-memory pins so
-            # per-request fan-outs ship refs, never pickled copies.
+            # order, and pruning envelopes/norms.
             self.index = ReferenceIndex.build(
                 self._ref_matrices,
                 self._ref_labels,
                 list(self.references.workload_names()),
                 self._measure,
             )
-            self.pinned_digests = self.index.pinned_digests
         self._warm = True
         logger.info(
             "serve warmup: %d reference experiments (%d expanded), "
@@ -134,13 +129,6 @@ class PredictionService:
             "n_expanded": len(self._ref_subexp),
             "features": list(self.features),
         }
-
-    def prune_temporaries(self) -> int:
-        """Free per-request arrays from the ambient store, keep pins."""
-        store = ambient_store()
-        if store is None:
-            return 0
-        return store.prune(keep=self.pinned_digests)
 
     def _require_warm(self) -> None:
         if not self._warm:

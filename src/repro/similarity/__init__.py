@@ -66,7 +66,6 @@ from repro.similarity.evaluation import (
     ranking_mean_average_precision,
     ranking_ndcg,
 )
-from repro.similarity.pruning import knn_accuracy_pruned, nearest_neighbor
 
 __all__ = [
     "NORMS",
@@ -107,6 +106,4 @@ __all__ = [
     "pair_key",
     "lb_kim",
     "lb_keogh",
-    "knn_accuracy_pruned",
-    "nearest_neighbor",
 ]

@@ -116,10 +116,10 @@ class DistanceCache:
     def put(self, key: str, value: float) -> None:
         """Record a computed distance (idempotent per cache object).
 
-        Non-finite values are never persisted — an ``inf`` from an
-        early-abandoned computation is not the true distance.  Append
-        failures are logged and swallowed: the cache is an optimization,
-        not a correctness requirement.
+        Non-finite values are never persisted — an ``inf`` or ``nan``
+        from degenerate inputs is not a distance worth replaying.
+        Append failures are logged and swallowed: the cache is an
+        optimization, not a correctness requirement.
         """
         value = float(value)
         if not math.isfinite(value):

@@ -6,17 +6,12 @@ distances, *dependent* DTW warps all dimensions jointly using squared
 Euclidean local costs.
 
 Fast-path machinery for the pairwise-distance engine
-(:mod:`repro.similarity.evaluation`) and the pruned 1-NN search
-(:mod:`repro.similarity.pruning`) lives here too:
+(:mod:`repro.similarity.evaluation`) and the pruned nearest-group
+search (:mod:`repro.similarity.pruning`) lives here too:
 
 - :func:`lb_kim` and :func:`lb_keogh` are cheap lower bounds on the
   dependent-DTW distance — a candidate whose bound already exceeds the
   best distance found so far never needs the full dynamic program;
-- ``cutoff`` on the distance functions enables *early abandoning*: the
-  dynamic program stops as soon as the accumulated cost provably
-  exceeds the cutoff, returning ``inf``.  A returned finite value is
-  always the exact distance — abandoning only ever replaces values that
-  are provably larger than the cutoff;
 - :func:`batch_dependent_costs` computes the local-cost matrices for a
   whole stack of equal-shape pairs in one batched contraction.
 """
@@ -37,9 +32,7 @@ def _as_series(values, name: str) -> np.ndarray:
     return arr
 
 
-def _dtw_from_cost(
-    cost: np.ndarray, window: int | None, *, cutoff: float | None = None
-) -> float:
+def _dtw_from_cost(cost: np.ndarray, window: int | None) -> float:
     """Dynamic program over a precomputed local-cost matrix.
 
     The recurrence is evaluated along anti-diagonals: every cell of one
@@ -49,12 +42,7 @@ def _dtw_from_cost(
 
     ``window`` is a Sakoe-Chiba band half-width; a band at least
     ``max(m, n) - 1`` wide can never exclude a cell, so the mask is not
-    even allocated in that case.  With ``cutoff``, the program abandons
-    (returning ``inf``) once two consecutive anti-diagonals both exceed
-    ``cutoff**2`` — every warping path crosses one of any two consecutive
-    anti-diagonals and accumulated costs only grow, so the final distance
-    is provably ``> cutoff``.  Values actually returned are bit-identical
-    to an un-abandoned run.
+    even allocated in that case.
     """
     m, n = cost.shape
     if window is not None:
@@ -69,8 +57,6 @@ def _dtw_from_cost(
         i_idx = np.arange(1, m + 1)[:, None]
         j_idx = np.arange(1, n + 1)[None, :]
         banned = np.abs(i_idx - j_idx) > window
-    cutoff_sq = None if cutoff is None else float(cutoff) ** 2
-    previous_min = np.inf
     for diagonal in range(2, m + n + 1):
         i_low = max(1, diagonal - n)
         i_high = min(m, diagonal - 1)
@@ -85,29 +71,20 @@ def _dtw_from_cost(
         if window is not None:
             values = np.where(banned[i - 1, j - 1], np.inf, values)
         acc[i, j] = values
-        if cutoff_sq is not None:
-            current_min = float(np.min(values))
-            if current_min > cutoff_sq and previous_min > cutoff_sq:
-                return np.inf
-            previous_min = current_min
     return float(np.sqrt(acc[m, n]))
 
 
-def dtw_distance(
-    a, b, *, window: int | None = None, cutoff: float | None = None
-) -> float:
+def dtw_distance(a, b, *, window: int | None = None) -> float:
     """Univariate DTW distance with optional Sakoe-Chiba band ``window``.
 
     Local cost is the squared difference; the returned value is the square
     root of the accumulated cost, so DTW of equal-length series is upper
-    bounded by their Euclidean distance.  With ``cutoff``, the dynamic
-    program early-abandons and returns ``inf`` when the distance provably
-    exceeds the cutoff.
+    bounded by their Euclidean distance.
     """
     a = _as_series(a, "a")
     b = _as_series(b, "b")
     cost = (a[:, None] - b[None, :]) ** 2
-    return _dtw_from_cost(cost, window, cutoff=cutoff)
+    return _dtw_from_cost(cost, window)
 
 
 def _dependent_cost(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -222,7 +199,7 @@ def lb_keogh_from_envelope(A, lower: np.ndarray, upper: np.ndarray) -> float:
     ``(lower, upper)`` is ``keogh_envelope(B)``: broadcasting the 1-D
     envelope against ``A`` performs element-for-element the same float
     operations as the materialized envelope in :func:`lb_keogh`
-    (pinned by ``tests/similarity/test_pruning.py``).
+    (pinned by ``tests/similarity/test_pruned_group.py``).
     """
     A = _as_mts(A, "A")
     if A.shape[1] != lower.shape[-1]:
@@ -262,16 +239,12 @@ def multivariate_dtw(
     *,
     strategy: str = "dependent",
     window: int | None = None,
-    cutoff: float | None = None,
 ) -> float:
     """Multivariate DTW between ``(time, features)`` matrices.
 
     ``strategy="dependent"`` warps all dimensions together (local cost is
     the squared Euclidean distance between multivariate samples);
-    ``strategy="independent"`` sums per-dimension univariate DTWs.  With
-    ``cutoff``, the computation early-abandons and returns ``inf`` once
-    the distance provably exceeds the cutoff; finite return values are
-    exact.
+    ``strategy="independent"`` sums per-dimension univariate DTWs.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -288,15 +261,11 @@ def multivariate_dtw(
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValidationError("inputs must not be empty")
     if strategy == "dependent":
-        return _dtw_from_cost(_dependent_cost(A, B), window, cutoff=cutoff)
+        return _dtw_from_cost(_dependent_cost(A, B), window)
     if strategy == "independent":
         total = 0.0
         for k in range(A.shape[1]):
             total += dtw_distance(A[:, k], B[:, k], window=window)
-            # Per-dimension distances are non-negative, so a partial sum
-            # past the cutoff already proves the total is past it.
-            if cutoff is not None and total > cutoff:
-                return np.inf
         return float(total)
     raise ValidationError(
         f"strategy must be 'dependent' or 'independent', got {strategy!r}"

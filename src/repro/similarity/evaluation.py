@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.exec.arrays import acquire_store
 from repro.exec.engine import ExecTask, run_tasks
 from repro.ml.metrics import mean_average_precision, ndcg
 from repro.obs.logging import get_logger
@@ -184,7 +183,7 @@ def _pair_chunk_body(
 
 
 def _pair_chunk_unit(payload, attempt: int, in_worker: bool):
-    """Engine adapter: one pair chunk, shared-memory refs pre-resolved."""
+    """Engine adapter: one pair chunk."""
     return _pair_chunk_body(*payload)
 
 
@@ -265,41 +264,29 @@ def _run_pair_chunks(
 
     Each chunk runs under telemetry capture and its snapshot is merged
     back in chunk order on both paths, so spans recorded inside workers
-    match a serial run exactly.  On the parallel path the matrices are
-    published once into a shared-memory
-    :class:`~repro.exec.arrays.ArrayStore` and chunks ship content
-    refs, so fan-out no longer pickles a copy of each referenced
-    matrix per chunk.
+    match a serial run exactly.  A chunk's payload carries only the
+    matrices its pairs touch (:func:`_chunk_payload`).
     """
-    store, owned = acquire_store(n_workers > 1 and len(chunks) > 1)
-    try:
-        if store is not None:
-            shipped = [store.put(matrix) for matrix in matrices]
-        else:
-            shipped = matrices
-        tasks = []
-        for index, chunk in enumerate(chunks):
-            sub, local_pairs = _chunk_payload(shipped, chunk)
-            tasks.append(
-                ExecTask(
-                    index=index,
-                    fn=_pair_chunk_unit,
-                    payload=(sub, local_pairs, measure, index),
-                    task_id=f"{measure.name}-chunk-{index}",
-                )
-            )
-        return list(
-            run_tasks(
-                tasks,
-                jobs=n_workers,
-                retry=1,
-                label="similarity",
-                on_error="raise",
+    tasks = []
+    for index, chunk in enumerate(chunks):
+        sub, local_pairs = _chunk_payload(matrices, chunk)
+        tasks.append(
+            ExecTask(
+                index=index,
+                fn=_pair_chunk_unit,
+                payload=(sub, local_pairs, measure, index),
+                task_id=f"{measure.name}-chunk-{index}",
             )
         )
-    finally:
-        if store is not None and owned:
-            store.close()
+    return list(
+        run_tasks(
+            tasks,
+            jobs=n_workers,
+            retry=1,
+            label="similarity",
+            on_error="raise",
+        )
+    )
 
 
 def distance_matrix(

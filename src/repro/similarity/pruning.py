@@ -1,25 +1,22 @@
-"""Lower-bound pruned 1-NN search over representation matrices.
+"""Lower-bound pruned nearest-group search over representation matrices.
 
-1-NN workload identification (:func:`repro.similarity.evaluation.
-knn_accuracy`) needs, per query, only the *identity* of the nearest
-experiment — not the exact distance to every candidate.  For DTW that
-means most of the O(n²) dynamic programs are provably unnecessary: a
-candidate whose cheap lower bound (:func:`~repro.similarity.dtw.lb_kim`,
-then :func:`~repro.similarity.dtw.lb_keogh`) already reaches the best
-distance found so far can be skipped outright, and the remaining
-candidates run with ``cutoff=best`` so the dynamic program early-abandons
-the moment it proves the candidate loses.
+Prediction (``/v1/predict``) needs only the *identity* of the nearest
+reference workload, not the exact distance to every reference.
+:func:`nearest_group` scans labelled candidate groups and skips any
+group whose cheap lower-bound block mean already reaches the best exact
+mean found so far:
 
-The search is **exact**: candidates are scanned in index order and the
-best is only replaced on a strictly smaller distance, which reproduces
-``np.argmin``'s first-index tie-breaking — so
-:func:`knn_accuracy_pruned` equals
-``knn_accuracy(distance_matrix(matrices, measure), labels)`` on any
-corpus (``tests/similarity/test_pruning.py`` asserts it, and a
-hypothesis suite fuzzes the equivalence on random series).
+- Dependent-DTW bounds each pair with :func:`~repro.similarity.dtw.lb_kim`
+  and then :func:`~repro.similarity.dtw.lb_keogh` (from precomputed
+  envelopes when the caller indexed the candidates);
+- the norm-induced measures (L2,1, L1,1, Frobenius) bound each pair by
+  the reverse triangle inequality over :func:`measure_norm` scalars.
 
-Skipped and abandoned candidates are counted in
-``similarity.pairs_pruned_total``.
+The search is **exact**: groups are scanned in order and the best is
+only replaced on a strictly smaller mean, so the answer equals the
+full-matrix nearest, tie-breaking included
+(``tests/similarity/test_pruned_group.py``).  Skipped pairs are
+counted in ``similarity.pairs_pruned_total``.
 """
 
 from __future__ import annotations
@@ -35,81 +32,8 @@ from repro.similarity.dtw import (
     lb_kim,
     multivariate_dtw,
 )
-from repro.similarity.evaluation import (
-    _cross_pairs,
-    _is_elastic,
-    _pair_values,
-    _prepare_pair,
-)
-from repro.similarity.measures import (
-    MeasureSpec,
-    _dtw_dependent,
-    _dtw_independent,
-)
-
-
-def _pair_distance(
-    A: np.ndarray,
-    B: np.ndarray,
-    measure: MeasureSpec,
-    cutoff: float | None,
-) -> float:
-    """Distance for one pair, early-abandoning at ``cutoff`` when the
-    measure supports it.  A finite return value is always exact."""
-    if measure.func is _dtw_dependent:
-        return multivariate_dtw(A, B, strategy="dependent", cutoff=cutoff)
-    if measure.func is _dtw_independent:
-        return multivariate_dtw(A, B, strategy="independent", cutoff=cutoff)
-    A, B = _prepare_pair(A, B, _is_elastic(measure))
-    return float(measure(A, B))
-
-
-def nearest_neighbor(
-    matrices: list[np.ndarray], query: int, measure: MeasureSpec
-) -> int:
-    """Index of the query's nearest other matrix under ``measure``.
-
-    Equal to ``np.argmin`` over the masked query row of the full
-    distance matrix — including its first-index tie-breaking — while
-    computing as few exact distances as the bounds allow.
-    """
-    n = len(matrices)
-    if n < 2:
-        raise ValidationError("need at least two experiments for 1-NN")
-    if not 0 <= query < n:
-        raise ValidationError(f"query index {query} out of range [0, {n})")
-    dependent_dtw = measure.func is _dtw_dependent
-    A = matrices[query]
-    best = np.inf
-    best_index = -1
-    pruned = 0
-    for candidate in range(n):
-        if candidate == query:
-            continue
-        B = matrices[candidate]
-        if dependent_dtw and np.isfinite(best):
-            # Cascade of ever-tighter lower bounds: a bound that already
-            # reaches ``best`` proves the candidate cannot win (the best
-            # is only replaced on a strictly smaller distance).
-            if lb_kim(A, B) >= best or lb_keogh(A, B) >= best:
-                pruned += 1
-                continue
-        cutoff = best if np.isfinite(best) else None
-        value = _pair_distance(A, B, measure, cutoff)
-        if not np.isfinite(value):
-            # Early-abandoned: provably > best, never a candidate.
-            pruned += 1
-            continue
-        if value < best:
-            best = value
-            best_index = candidate
-    if best_index < 0:
-        # Every exact distance was inf (degenerate inputs).  np.argmin
-        # over an all-inf masked row returns 0; reproduce that.
-        best_index = 0
-    if pruned:
-        get_metrics().counter("similarity.pairs_pruned_total").inc(pruned)
-    return best_index
+from repro.similarity.evaluation import _cross_pairs, _pair_values
+from repro.similarity.measures import MeasureSpec, _dtw_dependent
 
 
 def measure_norm(measure: MeasureSpec, A: np.ndarray) -> float | None:
@@ -197,7 +121,7 @@ def _exact_block(
     """
     if measure.func is _dtw_dependent:
         return np.array(
-            [[_pair_distance(A, B, measure, None) for B in members]
+            [[multivariate_dtw(A, B, strategy="dependent") for B in members]
              for A in query_matrices]
         )
     n_queries = len(query_matrices)
@@ -303,26 +227,3 @@ def nearest_group(
     if pruned:
         get_metrics().counter("similarity.pairs_pruned_total").inc(pruned)
     return best_name
-
-
-def knn_accuracy_pruned(
-    matrices: list[np.ndarray], labels, measure: MeasureSpec
-) -> float:
-    """1-NN workload identification accuracy, without the full matrix.
-
-    Equals ``knn_accuracy(distance_matrix(matrices, measure), labels)``
-    while skipping every pairwise distance the lower bounds rule out.
-    """
-    labels = np.asarray(labels)
-    if len(matrices) != labels.size:
-        raise ValidationError("labels must align with the matrices")
-    with span(
-        "similarity.knn_pruned",
-        attrs={"n_experiments": len(matrices), "measure": measure.name},
-    ):
-        correct = 0
-        for query in range(len(matrices)):
-            nearest = nearest_neighbor(matrices, query, measure)
-            if labels[nearest] == labels[query]:
-                correct += 1
-    return correct / len(matrices)

@@ -53,12 +53,6 @@ class TestBuild:
         )
         assert [name for name, _ in index.groups] == ["b", "a"]
 
-    def test_no_ambient_store_means_no_pins(self, matrices):
-        index = ReferenceIndex.build(
-            matrices, LABELS, ["a", "b"], get_measure("L2,1")
-        )
-        assert index.pinned_digests == set()
-
 
 class TestValidation:
     def test_rejects_empty_matrices(self):
@@ -90,7 +84,6 @@ class TestWarmupIntegration:
         )
         # The default measure (L2,1) is norm-induced.
         assert index.norms is not None
-        assert warm_service.pinned_digests is index.pinned_digests
 
     def test_group_members_match_label_masks(self, warm_service):
         labels = warm_service._ref_labels

@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import re
+import resource
 import signal
 import statistics
 import subprocess
@@ -20,6 +21,7 @@ from repro.exceptions import ServeError
 from repro.serve.app import ServeApp
 from repro.serve.loadgen import http_json
 from repro.serve.server import make_server
+from repro.workloads import scaling_corpus
 
 
 @pytest.fixture
@@ -120,11 +122,28 @@ def test_keepalive_responses_do_not_stall():
     assert statistics.median(latencies) < 0.010
 
 
+#: Soft open-file limit the CLI server must boot under.  Far below the
+#: common 1024 default, so per-reference file descriptors would show.
+FD_SOFT_LIMIT = 256
+
+
+def _lower_fd_soft_limit() -> None:
+    """``preexec_fn``: lower the soft ``RLIMIT_NOFILE``, keep the hard one."""
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (FD_SOFT_LIMIT, hard))
+
+
 @pytest.mark.slow
-def test_cli_serve_sigterm_drains_cleanly(serve_references, tmp_path):
-    """Boot ``repro serve`` for real, hit it, SIGTERM it, expect exit 0."""
+def test_cli_serve_sigterm_drains_cleanly(tmp_path):
+    """Boot ``repro serve`` for real, hit it, SIGTERM it, expect exit 0.
+
+    The references are the 84-experiment scaling corpus (what ``repro
+    corpus --kind scaling`` builds) and the server runs with few file
+    descriptors: holding state per reference matrix must not stop it
+    from booting.
+    """
     references_path = tmp_path / "references.npz"
-    serve_references.save_npz(references_path)
+    scaling_corpus(random_state=7).save_npz(references_path)
 
     env = dict(os.environ)
     root = Path(__file__).resolve().parents[2]
@@ -142,19 +161,22 @@ def test_cli_serve_sigterm_drains_cleanly(serve_references, tmp_path):
         env=env,
         text=True,
         cwd=str(tmp_path),
+        preexec_fn=_lower_fd_soft_limit,
     )
     try:
         port = None
+        output = []
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
             line = process.stdout.readline()
             if not line:
                 break
+            output.append(line)
             match = re.search(r"http://[\d.]+:(\d+)", line)
             if match:
                 port = int(match.group(1))
                 break
-        assert port, "server never printed its boot line"
+        assert port, "server never printed its boot line:\n" + "".join(output)
 
         status, body = http_json(
             "GET", f"http://127.0.0.1:{port}/healthz", timeout=30

@@ -1,30 +1,11 @@
-"""Exactness of the lower-bound pruned / early-abandoned DTW path."""
+"""The DTW lower bounds the pruned nearest-group search relies on."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.similarity import RepresentationBuilder
-from repro.similarity.dtw import (
-    dtw_distance,
-    lb_keogh,
-    lb_kim,
-    multivariate_dtw,
-)
-from repro.similarity.evaluation import (
-    distance_matrix,
-    knn_accuracy,
-    representation_matrices,
-)
-from repro.similarity.measures import get_measure, measure_registry
-from repro.similarity.pruning import (
-    knn_accuracy_pruned,
-    nearest_neighbor,
-)
+from repro.similarity.dtw import lb_keogh, lb_kim, multivariate_dtw
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -36,24 +17,6 @@ def series_pairs(draw, min_len=2, max_len=12, cols=2):
     A = draw(arrays(np.float64, (m, cols), elements=finite))
     B = draw(arrays(np.float64, (n, cols), elements=finite))
     return A, B
-
-
-@pytest.fixture(scope="module")
-def mini_corpus(small_corpus):
-    return small_corpus.filter(lambda r: r.subsample_index in (0, 1))
-
-
-@pytest.fixture(scope="module")
-def builder(mini_corpus):
-    return RepresentationBuilder().fit(mini_corpus)
-
-
-@pytest.fixture()
-def metrics():
-    registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    yield registry
-    set_metrics(previous)
 
 
 class TestLowerBounds:
@@ -77,111 +40,3 @@ class TestLowerBounds:
         A, B = pair
         exact = multivariate_dtw(A, B, strategy="dependent", window=window)
         assert lb_keogh(A, B, window=window) <= exact + 1e-9
-
-
-class TestEarlyAbandon:
-    @given(series_pairs(), st.floats(0.0, 200.0))
-    @settings(max_examples=60, deadline=None)
-    def test_cutoff_preserves_exactness(self, pair, cutoff):
-        A, B = pair
-        exact = multivariate_dtw(A, B, strategy="dependent")
-        abandoned = multivariate_dtw(
-            A, B, strategy="dependent", cutoff=cutoff
-        )
-        if np.isfinite(abandoned):
-            # A finite return value is always the exact distance.
-            assert abandoned == exact
-        else:
-            # inf is only returned when the distance truly exceeds the
-            # cutoff.
-            assert exact > cutoff
-
-    @given(
-        arrays(np.float64, st.integers(2, 12), elements=finite),
-        arrays(np.float64, st.integers(2, 12), elements=finite),
-        st.floats(0.0, 200.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_univariate_cutoff_preserves_exactness(self, a, b, cutoff):
-        exact = dtw_distance(a, b)
-        abandoned = dtw_distance(a, b, cutoff=cutoff)
-        if np.isfinite(abandoned):
-            assert abandoned == exact
-        else:
-            assert exact > cutoff
-
-    @given(series_pairs(), st.floats(0.0, 200.0))
-    @settings(max_examples=40, deadline=None)
-    def test_independent_cutoff_preserves_exactness(self, pair, cutoff):
-        A, B = pair
-        exact = multivariate_dtw(A, B, strategy="independent")
-        abandoned = multivariate_dtw(
-            A, B, strategy="independent", cutoff=cutoff
-        )
-        if np.isfinite(abandoned):
-            assert abandoned == exact
-        else:
-            assert exact > cutoff
-
-
-class TestNearestNeighborExactness:
-    @given(st.lists(arrays(np.float64, (6, 2), elements=finite),
-                    min_size=3, max_size=7))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_argmin_on_random_series(self, matrices):
-        measure = get_measure("Dependent-DTW")
-        D = distance_matrix(matrices, measure)
-        for query in range(len(matrices)):
-            row = D[query].copy()
-            row[query] = np.inf
-            assert nearest_neighbor(matrices, query, measure) == int(
-                np.argmin(row)
-            )
-
-    def test_matches_argmin_on_corpus(self, mini_corpus, builder):
-        matrices = representation_matrices(mini_corpus, builder, "mts")
-        for name in ("Dependent-DTW", "Independent-DTW", "L2,1"):
-            measure = get_measure(name)
-            D = distance_matrix(matrices, measure)
-            for query in range(len(matrices)):
-                row = D[query].copy()
-                row[query] = np.inf
-                assert nearest_neighbor(matrices, query, measure) == int(
-                    np.argmin(row)
-                ), name
-
-    def test_validates_inputs(self):
-        measure = get_measure("L2,1")
-        with pytest.raises(ValidationError):
-            nearest_neighbor([np.zeros((3, 2))], 0, measure)
-        matrices = [np.zeros((3, 2)), np.ones((3, 2))]
-        with pytest.raises(ValidationError):
-            nearest_neighbor(matrices, 2, measure)
-
-
-class TestKnnAccuracyPruned:
-    def test_equals_full_matrix_accuracy(self, mini_corpus, builder):
-        matrices = representation_matrices(mini_corpus, builder, "mts")
-        labels = [r.workload_name for r in mini_corpus]
-        for name, measure in measure_registry().items():
-            full = knn_accuracy(
-                distance_matrix(matrices, measure), np.asarray(labels)
-            )
-            pruned = knn_accuracy_pruned(matrices, labels, measure)
-            assert pruned == full, name
-
-    def test_prunes_pairs_on_dtw(self, mini_corpus, builder, metrics):
-        matrices = representation_matrices(mini_corpus, builder, "mts")
-        labels = [r.workload_name for r in mini_corpus]
-        knn_accuracy_pruned(matrices, labels, get_measure("Dependent-DTW"))
-        assert (
-            metrics.counter("similarity.pairs_pruned_total").value > 0
-        )
-
-    def test_label_alignment_validated(self):
-        with pytest.raises(ValidationError):
-            knn_accuracy_pruned(
-                [np.zeros((3, 2)), np.ones((3, 2))],
-                ["a"],
-                get_measure("L2,1"),
-            )

@@ -552,7 +552,6 @@ class TestObsCheckBench:
         [
             "BENCH_analysis.json",
             "BENCH_eval.json",
-            "BENCH_exec.json",
             "BENCH_synth.json",
         ],
     )
