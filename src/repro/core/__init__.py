@@ -10,22 +10,10 @@ scaling model predicts the target's performance on new hardware
 from repro.core.config import PipelineConfig
 from repro.core.report import PredictionReport, SimilarityRanking
 from repro.core.pipeline import WorkloadPredictionPipeline
-from repro.core.validation import (
-    QualityIssue,
-    QualityReport,
-    validate_corpus,
-    validate_distance_matrix,
-    validate_experiment,
-)
 
 __all__ = [
     "PipelineConfig",
     "PredictionReport",
     "SimilarityRanking",
     "WorkloadPredictionPipeline",
-    "QualityIssue",
-    "QualityReport",
-    "validate_experiment",
-    "validate_corpus",
-    "validate_distance_matrix",
 ]

@@ -23,12 +23,14 @@ from repro.core.config import PipelineConfig
 from repro.core.report import PredictionReport, SimilarityRanking
 from repro.exceptions import PipelineError, ValidationError
 from repro.features.evaluation import strategy_registry
+from repro.ml.fitexec import FitCache
 from repro.obs.logging import get_logger
 from repro.obs.metrics import LATENCY_MS_BUCKETS, get_metrics
 from repro.obs.provenance import RunManifest
 from repro.obs.tracing import span
 from repro.prediction.context import PairwiseScalingModel, SingleScalingModel
 from repro.prediction.evaluation import build_scaling_dataset
+from repro.similarity.distcache import DistanceCache
 from repro.similarity.evaluation import (
     distance_matrix,
     normalized_distances,
@@ -47,10 +49,17 @@ logger = get_logger(__name__)
 
 
 class WorkloadPredictionPipeline:
-    """Feature selection -> similarity -> scaling prediction."""
+    """Feature selection -> similarity -> scaling prediction.
+
+    The config's cache directories are opened here, once: every
+    prediction reuses the in-memory stores instead of re-reading their
+    files.
+    """
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
+        self.distance_cache = DistanceCache.coerce(self.config.distance_cache)
+        self.fit_cache = FitCache.coerce(self.config.fit_cache)
 
     # -- feature selection stage -----------------------------------------------
     def _scope_indices(self) -> list[int]:
@@ -92,7 +101,7 @@ class WorkloadPredictionPipeline:
             if hasattr(selector, "jobs"):
                 selector.jobs = self.config.jobs
             if hasattr(selector, "fit_cache"):
-                selector.fit_cache = self.config.fit_cache
+                selector.fit_cache = self.fit_cache
             started = time.perf_counter()
             with span("features.selector.fit", attrs={"n_rows": X.shape[0]}):
                 selector.fit(X, labels)
@@ -157,7 +166,7 @@ class WorkloadPredictionPipeline:
                     matrices,
                     get_measure(self.config.measure),
                     jobs=self.config.jobs,
-                    cache=self.config.distance_cache,
+                    cache=self.distance_cache,
                 )
             )
             labels = np.asarray([r.workload_name for r in combined])

@@ -1,7 +1,7 @@
 """One task engine behind every parallel stage of the pipeline.
 
 Historically each stage grew its own executor — gridexec (the richest:
-retry, quarantine, broken-pool rebuild, resume journal), fitexec,
+retry, quarantine, broken-pool rebuild), fitexec,
 distance-matrix chunks, and forest tree batches (each a bare
 submit-and-consume loop with a serial fallback).  :func:`run_tasks` is
 the single engine all four now share, generalized from the gridexec
@@ -111,9 +111,9 @@ class ExecTask:
 
     ``index`` is the task's submission position — the order results are
     returned and telemetry snapshots are merged in.  ``key`` is an
-    optional content-address fingerprint (corpus/distance/fit cache
-    key) used by callers for journaling and cache short-circuits;
-    ``task_id`` names the task in logs and quarantine records.
+    optional content-address fingerprint (the corpus cache key gridexec
+    writes an accepted result under); ``task_id`` names the task in
+    logs and quarantine records.
     """
 
     index: int
@@ -274,7 +274,7 @@ class _Run:
     """Mutable state of one :func:`run_tasks` invocation."""
 
     def __init__(self, results, retry, label, on_error, validate,
-                 on_result, after_task, journal):
+                 on_result, after_task):
         self.results = results
         self.retry = retry
         self.label = label
@@ -282,7 +282,6 @@ class _Run:
         self.validate = validate
         self.on_result = on_result
         self.after_task = after_task
-        self.journal = journal
         self.executed = 0
         self.retried = 0
         self.quarantined: list = []
@@ -294,8 +293,6 @@ class _Run:
         """Bookkeeping for an accepted attempt (telemetry already held)."""
         if self.on_result is not None:
             self.on_result(task, attempt, result)
-        if self.journal is not None and task.key is not None:
-            self.journal.record(task.key, task.task_id)
         self.results[task.index] = result
         self.executed += 1
         if self.after_task is not None:
@@ -510,7 +507,6 @@ def run_tasks(
     validate: Callable | None = None,
     on_result: Callable | None = None,
     after_task: Callable | None = None,
-    journal=None,
 ) -> ExecResults:
     """Run every task and return results in task-index order.
 
@@ -519,9 +515,7 @@ def run_tasks(
     the retry loop (a validation failure consumes an attempt, exactly
     like a task exception).  ``on_result(task, attempt, result)`` runs
     on the parent for each accepted result *before* it is recorded
-    (cache writes); ``after_task(task)`` runs after.  ``journal`` is
-    anything with ``record(key, task_id)`` — each accepted task with a
-    ``key`` is journaled between ``on_result`` and ``after_task``.
+    (cache writes); ``after_task(task)`` runs after.
 
     ``on_error="raise"`` propagates the first exhausted failure;
     ``"quarantine"`` records it on the report with ``None`` at the
@@ -536,8 +530,7 @@ def run_tasks(
     n_workers = resolve_jobs(jobs)
     results = ExecResults([None] * len(tasks))
     run = _Run(
-        results, retry, label, on_error, validate, on_result, after_task,
-        journal,
+        results, retry, label, on_error, validate, on_result, after_task
     )
     start = time.perf_counter()
     if n_workers > 1 and len(tasks) > 1:

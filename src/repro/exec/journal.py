@@ -1,11 +1,11 @@
 """The repo-wide JSONL append/load discipline, factored into one place.
 
-Four components persist append-only JSONL — the gridexec
-:class:`~repro.workloads.gridexec.ResumeJournal`, the
-:class:`~repro.ml.fitexec.FitCache`, the
-:class:`~repro.similarity.distcache.DistanceCache`, and the
-:class:`~repro.obs.ledger.RunLedger` — and each used to carry its own
-copy of the same two rituals:
+Every append-only JSONL file in the repo goes through this module —
+the two :class:`KeyValueJournal` stores
+(:class:`~repro.similarity.distcache.DistanceCache` and
+:class:`~repro.ml.fitexec.FitCache`), the
+:class:`~repro.obs.ledger.RunLedger`, and the serving job queue — and
+all share the same two rituals:
 
 - **append**: heal a torn tail (a SIGKILL mid-append leaves the file
   without a trailing newline; appending blindly would corrupt *two*
@@ -13,17 +13,13 @@ copy of the same two rituals:
 - **load**: parse line by line, skip and count torn/corrupt lines,
   never fail.
 
-This module is the single implementation both rituals now share, with
-one upgrade over the historical copies: :func:`append_jsonl` composes
-the healing newline and the row into **one** ``write()`` on an
-``O_APPEND`` descriptor.  POSIX serializes each append-mode write, so
-two *processes* appending to the same file concurrently can interleave
-whole rows but never bytes inside a row — the torn-tail healer used to
-assume a single writer, and interleaved partial writes from a second
-process could shred both rows (``tests/exec/test_journal.py`` drives
-multiple writer processes against one file to pin this down).  The
-worst a concurrent duplicate heal can inject is an empty line, which
-every loader skips.
+:func:`append_jsonl` composes the healing newline and the row into
+**one** ``write()`` on an ``O_APPEND`` descriptor.  POSIX serializes
+each append-mode write, so two *processes* appending to the same file
+concurrently can interleave whole rows but never bytes inside a row
+(``tests/exec/test_journal.py`` drives multiple writer processes
+against one file to pin this down).  The worst a concurrent duplicate
+heal can inject is an empty line, which every loader skips.
 """
 
 from __future__ import annotations
@@ -31,8 +27,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Callable
 
 from repro.obs.logging import get_logger
+from repro.obs.metrics import get_metrics
 
 logger = get_logger(__name__)
 
@@ -103,3 +101,89 @@ def load_jsonl(path: str | Path, *,
         except json.JSONDecodeError:
             corrupt += 1
     return rows, corrupt
+
+
+class KeyValueJournal:
+    """A string-keyed memo held in memory and mirrored to one JSONL file.
+
+    Each line of ``<root>/<filename>`` is one ``{"key": ..., "value":
+    ...}`` entry.  A store is set up by three class attributes:
+    ``filename``, ``family`` (the metric prefix: ``get``/``put`` publish
+    ``<family>.hits_total`` and ``<family>.misses_total``, loading
+    ``<family>.corrupt_total``) and ``valid``, the value rule.  A value
+    the rule rejects is never persisted, and a loaded line whose value
+    it rejects is a corrupt-counted miss, never an error.  The whole
+    entry set is held in memory, so a store is loaded once per object:
+    open it once and pass the object on.
+    """
+
+    filename: str = ""
+    family: str = ""
+    valid: Callable[[object], bool]
+
+    def __init__(self, root: str | Path):
+        self.root = Path(root).expanduser()
+        self.path = self.root / self.filename
+        self._label = self.family.replace("_", " ")
+        self._entries: dict[str, object] = {}
+        rows, corrupt = load_jsonl(self.path, label=self._label)
+        for row in rows:
+            key = row.get("key") if isinstance(row, dict) else None
+            value = row.get("value") if isinstance(row, dict) else None
+            if isinstance(key, str) and self.valid(value):
+                self._entries[key] = value
+            else:
+                corrupt += 1
+        if corrupt:
+            get_metrics().counter(f"{self.family}.corrupt_total").inc(corrupt)
+            logger.warning(
+                "%s %s: skipped %d corrupt line(s)",
+                self._label, self.path, corrupt,
+            )
+
+    @classmethod
+    def coerce(cls, store):
+        """Normalize a store argument: ``None``, a directory, or a store."""
+        if store is None or isinstance(store, cls):
+            return store
+        if isinstance(store, (str, Path)):
+            return cls(store)
+        raise TypeError(
+            f"expected None, a path, or a {cls.__name__}, "
+            f"got {type(store).__name__}"
+        )
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: str):
+        """The stored value for ``key``, or ``None`` on a miss."""
+        value = self._entries.get(key)
+        if value is None:
+            get_metrics().counter(f"{self.family}.misses_total").inc()
+        else:
+            get_metrics().counter(f"{self.family}.hits_total").inc()
+        return value
+
+    def put(self, key: str, value) -> None:
+        """Record a computed value (idempotent per store object).
+
+        A value the store's rule rejects — a non-finite score or
+        distance from degenerate inputs — is not worth replaying and is
+        dropped.  Append failures are logged and swallowed: the store is
+        an optimization, not a correctness requirement.
+        """
+        if key in self._entries or not self.valid(value):
+            return
+        self._entries[key] = value
+        append_jsonl(self.path, {"key": key, "value": value},
+                     label=self._label)
+
+    def clear(self) -> None:
+        """Drop every entry, in memory and on disk."""
+        self._entries.clear()
+        try:
+            self.path.unlink(missing_ok=True)
+        except OSError as exc:
+            logger.warning("cannot remove %s %s: %s",
+                           self._label, self.path, exc)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.features.aggregation import top_k_features
 from repro.features.base import encode_labels
-from repro.ml.fitexec import as_fit_cache, count_fits, fit_key, run_units
+from repro.ml.fitexec import FitCache, count_fits, fit_key, run_units
 from repro.obs.tracing import span
 from repro.utils.rng import RandomState, spawn_generators
 
@@ -129,7 +129,7 @@ def bootstrap_rankings(
         )
     n_draw = max(2, int(round(sample_fraction * X.shape[0])))
     codes, _ = encode_labels(y)
-    cache = as_fit_cache(fit_cache)
+    cache = FitCache.coerce(fit_cache)
     with span(
         "features.bootstrap_rankings",
         attrs={"strategy": strategy, "n_repetitions": n_repetitions},

@@ -31,7 +31,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.features.base import RankBasedSelector, encode_labels
 from repro.ml.base import clone
-from repro.ml.fitexec import as_fit_cache, count_fits, fit_key, run_units
+from repro.ml.fitexec import FitCache, count_fits, fit_key, run_units
 from repro.ml.linear import LinearRegression
 from repro.ml.logistic import LogisticRegression
 from repro.ml.model_selection import KFold
@@ -157,7 +157,7 @@ class RecursiveFeatureElimination(RankBasedSelector):
         Xs = StandardScaler().fit_transform(X)
         codes, _ = encode_labels(y)
         target = codes.astype(float) if _estimator_is_regressor(self.estimator) else y
-        cache = as_fit_cache(self.fit_cache)
+        cache = FitCache.coerce(self.fit_cache)
         remaining = list(range(X.shape[1]))
         ranking = np.zeros(X.shape[1], dtype=int)
         next_rank = X.shape[1]
@@ -231,6 +231,7 @@ class SequentialFeatureSelector(RankBasedSelector):
         target: np.ndarray,
         codes: np.ndarray,
         candidates: list[list[int]],
+        cache: FitCache | None,
     ) -> list[float]:
         """CV scores of one greedy step's candidate subsets, in order.
 
@@ -239,7 +240,6 @@ class SequentialFeatureSelector(RankBasedSelector):
         candidate order and the caller's argmax walks them serially, so
         the chosen feature is identical at any worker count.
         """
-        cache = as_fit_cache(self.fit_cache)
         scores: list[float | None] = [None] * len(candidates)
         keys: list[str | None] = [None] * len(candidates)
         units, positions = [], []
@@ -284,10 +284,11 @@ class SequentialFeatureSelector(RankBasedSelector):
             else np.asarray(y)
         )
         n_features = X.shape[1]
+        cache = FitCache.coerce(self.fit_cache)
         if self.direction == "forward":
-            order = self._forward_order(Xs, target, codes, n_features)
+            order = self._forward_order(Xs, target, codes, n_features, cache)
         else:
-            order = self._backward_order(Xs, target, codes, n_features)
+            order = self._backward_order(Xs, target, codes, n_features, cache)
         ranking = np.zeros(n_features, dtype=int)
         for rank, feature in enumerate(order, start=1):
             ranking[feature] = rank
@@ -295,14 +296,16 @@ class SequentialFeatureSelector(RankBasedSelector):
         return self
 
     def _forward_order(
-        self, X, target, codes, n_features: int
+        self, X, target, codes, n_features: int, cache
     ) -> list[int]:
         """Features in the order the greedy forward pass adds them."""
         selected: list[int] = []
         remaining = list(range(n_features))
         while remaining:
             candidates = [selected + [feature] for feature in remaining]
-            scores = self._candidate_scores(X, target, codes, candidates)
+            scores = self._candidate_scores(
+                X, target, codes, candidates, cache
+            )
             best_feature, best_score = None, -np.inf
             for feature, score in zip(remaining, scores):
                 if score > best_score:
@@ -312,7 +315,7 @@ class SequentialFeatureSelector(RankBasedSelector):
         return selected
 
     def _backward_order(
-        self, X, target, codes, n_features: int
+        self, X, target, codes, n_features: int, cache
     ) -> list[int]:
         """Importance order from greedy backward elimination.
 
@@ -325,7 +328,9 @@ class SequentialFeatureSelector(RankBasedSelector):
             candidates = [
                 [f for f in remaining if f != feature] for feature in remaining
             ]
-            scores = self._candidate_scores(X, target, codes, candidates)
+            scores = self._candidate_scores(
+                X, target, codes, candidates, cache
+            )
             best_feature, best_score = None, -np.inf
             for feature, score in zip(remaining, scores):
                 if score > best_score:

@@ -40,7 +40,7 @@ from repro.ml.mixed_effects import LinearMixedEffectsModel
 from repro.ml.neural import MLPRegressor
 from repro.ml.model_selection import KFold, cross_val_score, train_test_split
 from repro.ml.cluster import KMeans, KMedoids, agglomerative_labels
-from repro.ml.fitexec import FitCache, as_fit_cache, fit_key, run_units
+from repro.ml.fitexec import FitCache, fit_key, run_units
 
 __all__ = [
     "BaseEstimator",
@@ -72,7 +72,6 @@ __all__ = [
     "KMedoids",
     "agglomerative_labels",
     "FitCache",
-    "as_fit_cache",
     "fit_key",
     "run_units",
 ]

@@ -19,12 +19,13 @@ pieces they build on:
   spec, and the scorer.  A warm re-run of an SFS selection or a
   Table 5/6 grid therefore performs **zero** model fits.
 
-Storage follows the :class:`~repro.similarity.distcache.DistanceCache`
-discipline: one append-only JSONL file, torn tails healed before
-appending, corrupt lines counted (``fit_cache.corrupt_total``) but never
-fatal, and non-finite values never persisted.  Cached values round-trip
-exactly (``repr``-based JSON floats), which is what keeps warm-cache
-runs bit-identical to cold ones.
+Storage is the shared :class:`~repro.exec.journal.KeyValueJournal`, as
+for the :class:`~repro.similarity.distcache.DistanceCache`: one
+append-only JSONL file, torn tails healed before appending, corrupt
+lines counted (``fit_cache.corrupt_total``) but never fatal, and
+non-finite values never persisted.  Cached values round-trip exactly
+(``repr``-based JSON floats), which is what keeps warm-cache runs
+bit-identical to cold ones.
 """
 
 from __future__ import annotations
@@ -32,18 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.exec.arrays import float64_digest
 from repro.exec.engine import ExecTask, run_tasks
-from repro.exec.journal import append_jsonl, load_jsonl
-from repro.obs.logging import get_logger
+from repro.exec.journal import KeyValueJournal
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import span
 from repro.utils.parallel import resolve_jobs
-
-logger = get_logger(__name__)
 
 #: Bump when the key derivation or the on-disk layout changes; every
 #: existing entry stops being addressable.
@@ -106,7 +103,7 @@ def _all_finite(value) -> bool:
     return False
 
 
-class FitCache:
+class FitCache(KeyValueJournal):
     """On-disk memo of fit/score results, keyed by :func:`fit_key`.
 
     Values are finite floats, or (nested) lists/str-keyed dicts of them —
@@ -116,74 +113,9 @@ class FitCache:
     ``fit_cache.misses_total`` through :mod:`repro.obs`.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root).expanduser()
-        self.path = self.root / "fits.jsonl"
-        self._entries: dict[str, object] = {}
-        self._load()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _load(self) -> None:
-        entries, corrupt = load_jsonl(self.path, label="fit cache")
-        for entry in entries:
-            key = entry.get("key") if isinstance(entry, dict) else None
-            value = entry.get("value") if isinstance(entry, dict) else None
-            if isinstance(key, str) and _all_finite(value):
-                self._entries[key] = value
-            else:
-                corrupt += 1
-        if corrupt:
-            get_metrics().counter("fit_cache.corrupt_total").inc(corrupt)
-            logger.warning(
-                "fit cache %s: skipped %d corrupt line(s)", self.path, corrupt
-            )
-
-    def get(self, key: str):
-        """The cached value for ``key``, or ``None`` on a miss."""
-        value = self._entries.get(key)
-        if value is None:
-            get_metrics().counter("fit_cache.misses_total").inc()
-            return None
-        get_metrics().counter("fit_cache.hits_total").inc()
-        return value
-
-    def put(self, key: str, value) -> None:
-        """Record a computed result (idempotent per cache object).
-
-        Non-finite values are never persisted — a ``-inf`` from a
-        degenerate fold is a sentinel, not a reusable result.  Append
-        failures are logged and swallowed: the cache is an optimization,
-        not a correctness requirement.
-        """
-        if not _all_finite(value):
-            return
-        if key in self._entries:
-            return
-        self._entries[key] = value
-        append_jsonl(self.path, {"key": key, "value": value},
-                     label="fit cache")
-
-    def clear(self) -> None:
-        """Drop every entry, in memory and on disk."""
-        self._entries.clear()
-        try:
-            self.path.unlink(missing_ok=True)
-        except OSError as exc:
-            logger.warning("cannot remove fit cache %s: %s", self.path, exc)
-
-
-def as_fit_cache(cache: "FitCache | str | Path | None") -> FitCache | None:
-    """Normalize a cache argument: ``None``, a directory, or a cache."""
-    if cache is None or isinstance(cache, FitCache):
-        return cache
-    if isinstance(cache, (str, Path)):
-        return FitCache(cache)
-    raise TypeError(
-        "fit_cache must be None, a path, or a FitCache, "
-        f"got {type(cache).__name__}"
-    )
+    filename = "fits.jsonl"
+    family = "fit_cache"
+    valid = staticmethod(_all_finite)
 
 
 def count_fits(n: int) -> None:

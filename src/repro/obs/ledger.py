@@ -6,12 +6,11 @@ and how the caches behaved — so "why was this run slow?" can be answered
 *after the fact* from ``repro obs report`` / ``repro obs diff`` without
 re-running anything.
 
-Storage follows the repo's JSONL discipline (the same one
-:class:`~repro.workloads.gridexec.ResumeJournal`,
-:class:`~repro.similarity.distcache.DistanceCache`, and
-:class:`~repro.ml.fitexec.FitCache` use): append-only, torn tails healed
-before appending, corrupt lines counted (``ledger.corrupt_total``) but
-never fatal.  A crash mid-append therefore costs at most one row.
+Storage follows the repo's JSONL discipline (:mod:`repro.exec.journal`,
+which the :class:`~repro.similarity.distcache.DistanceCache` and the
+:class:`~repro.ml.fitexec.FitCache` also use): append-only, torn tails
+healed before appending, corrupt lines counted (``ledger.corrupt_total``)
+but never fatal.  A crash mid-append therefore costs at most one row.
 
 Row schema (``ledger_version`` 1)::
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.ml.fitexec import as_fit_cache, count_fits, fit_key, run_units
+from repro.ml.fitexec import FitCache, count_fits, fit_key, run_units
 from repro.ml.metrics import normalized_rmse
 from repro.ml.model_selection import KFold
 from repro.obs.metrics import get_metrics
@@ -252,7 +252,7 @@ def evaluate_pairwise_strategy(
         fold_seed = int(rng.integers(0, 2**31))
         model_seed = int(rng.integers(0, 2**31))
         seeds.append((fold_seed, model_seed))
-    cache = as_fit_cache(fit_cache)
+    cache = FitCache.coerce(fit_cache)
     with span(
         "prediction.evaluate_pairwise",
         attrs={"strategy": strategy, "n_pairs": len(pairs), "cv": cv},
@@ -384,7 +384,7 @@ def evaluate_single_strategy(
     model_seed = int(random_state)
     splitter = KFold(cv, shuffle=True, random_state=model_seed)
     folds = list(splitter.split(np.arange(n_slots)))
-    cache = as_fit_cache(fit_cache)
+    cache = FitCache.coerce(fit_cache)
     with span(
         "prediction.evaluate_single",
         attrs={"strategy": strategy, "n_pairs": len(pairs), "cv": cv},

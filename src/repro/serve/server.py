@@ -39,10 +39,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- request plumbing ------------------------------------------------------
     def _read_payload(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        # A body this handler does not read would be parsed as the next
+        # keep-alive request, so every rejected length closes the
+        # connection after the 400.
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            return None, f"invalid Content-Length {declared!r}"
+        length = int(declared)
+        if length == 0:
             return None, None
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             return None, f"request body exceeds {MAX_BODY_BYTES} bytes"
         body = self.rfile.read(length)
         try:
@@ -59,6 +67,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -58,7 +58,11 @@ logger = get_logger(__name__)
 
 
 class PredictionService:
-    """Warm pipeline state answering rank and predict requests."""
+    """Warm pipeline state answering rank and predict requests.
+
+    The disk caches are the inner pipeline's stores, opened once at
+    construction and shared by every request.
+    """
 
     def __init__(
         self,
@@ -193,7 +197,7 @@ class PredictionService:
                 self.index.matrices,
                 self._measure,
                 jobs=self.config.jobs,
-                cache=self.config.distance_cache,
+                cache=self._pipeline.distance_cache,
                 col_digests=self.index.digests,
             )
             rankings = []

@@ -29,7 +29,6 @@ from repro.similarity.changepoint import bayesian_changepoints, segment_bounds
 from repro.similarity.representations import RepresentationBuilder
 from repro.similarity.distcache import (
     DistanceCache,
-    as_distance_cache,
     matrix_digest,
     pair_key,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "robustness_under_noise",
     "robustness_profiles",
     "DistanceCache",
-    "as_distance_cache",
     "matrix_digest",
     "pair_key",
     "lb_kim",

@@ -25,12 +25,7 @@ from repro.ml.metrics import mean_average_precision, ndcg
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import span
-from repro.similarity.distcache import (
-    DistanceCache,
-    as_distance_cache,
-    matrix_digest,
-    pair_key,
-)
+from repro.similarity.distcache import DistanceCache, matrix_digest, pair_key
 from repro.similarity.dtw import _dtw_from_cost, batch_dependent_costs
 from repro.similarity.measures import MeasureSpec, _dtw_dependent
 from repro.similarity.norms import BATCHED_NORMS
@@ -327,7 +322,7 @@ def distance_matrix(
             np.column_stack(upper),
             measure,
             n_workers,
-            as_distance_cache(cache),
+            DistanceCache.coerce(cache),
         )
     D = np.zeros((n, n))
     D[upper] = values
@@ -370,7 +365,7 @@ def cross_distance_matrix(
             _cross_pairs(len(rows), len(cols), len(rows)),
             measure,
             n_workers,
-            as_distance_cache(cache),
+            DistanceCache.coerce(cache),
         )
     return values.reshape(len(rows), len(cols))
 
@@ -412,7 +407,7 @@ def multi_query_cross_distances(
     if col_digests is not None and len(col_digests) != len(cols):
         raise ValidationError("col_digests must align with cols")
     queries = [M for query in query_sets for M in query]
-    cache = as_distance_cache(cache)
+    cache = DistanceCache.coerce(cache)
     digests = None
     if cache is not None and col_digests is not None:
         digests = [matrix_digest(M) for M in queries] + list(col_digests)

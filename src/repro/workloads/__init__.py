@@ -40,7 +40,6 @@ from repro.workloads.runner import ExperimentResult, ExperimentRunner
 from repro.workloads.gridexec import (
     GridReport,
     GridTask,
-    ResumeJournal,
     RetryPolicy,
     enumerate_grid,
     execute_grid,
@@ -135,7 +134,6 @@ __all__ = [
     "ExperimentRunner",
     "GridReport",
     "GridTask",
-    "ResumeJournal",
     "RetryPolicy",
     "enumerate_grid",
     "execute_grid",

@@ -231,8 +231,7 @@ class KillSwitch:
     trigger that fires in the *coordinating* process, at a task
     boundary — the point a real SIGKILL is most likely to land in an
     hours-long build.  Everything completed before the kill is already
-    journaled and cached, which is what the resume path is tested
-    against.
+    cached, which is what the resume path is tested against.
     """
 
     def __init__(self, after_tasks: int):

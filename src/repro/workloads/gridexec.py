@@ -31,28 +31,27 @@ longer lost with worker processes).
 
 An optional content-addressed :class:`repro.workloads.cache.CorpusCache`
 short-circuits tasks whose results are already on disk; only cache
-misses are executed.
+misses are executed.  The cache is also the only record of which tasks
+finished: a result is written the moment its task is accepted, so a
+build killed mid-flight resumes with zero re-simulation, every finished
+task a cache hit.
 
 Execution is crash-safe (``tests/workloads/test_faults.py``); the
 mechanics — :class:`RetryPolicy` attempts with capped backoff,
 quarantine on exhaustion, broken-pool rebuild with a last-chance serial
 attempt, and the serial fallback when no pool can be created — now live
 in :mod:`repro.exec.engine` and are shared by every parallel stage.
-What stays here is the grid-specific layer: cache scanning, the
-:class:`ResumeJournal` (``journal.jsonl`` in the cache directory, so a
-build killed mid-flight resumes with zero re-simulation), and the fault
-hooks.
+What stays here is the grid-specific layer: cache scanning, cache
+writes, and the fault hooks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.exceptions import ValidationError
 from repro.exec.engine import ExecTask, RetryPolicy, as_retry_policy, run_tasks
-from repro.exec.journal import append_jsonl, load_jsonl
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import span
@@ -100,67 +99,6 @@ class GridTask:
         )
 
 
-class ResumeJournal:
-    """Append-only JSONL record of completed task fingerprints.
-
-    One line per completed task (``{"key": ..., "task_id": ...}``),
-    appended after the result is safely in the cache.  Storage rides on
-    :mod:`repro.exec.journal`: appends heal torn tails and are safe
-    under concurrent writer processes, and loading tolerates a torn
-    final line — the worst a SIGKILL can leave behind — so an
-    interrupted build's journal is always usable for resume accounting.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._keys: set[str] = set()
-        self._load()
-
-    def _load(self) -> None:
-        entries, corrupt = load_jsonl(self.path, label="journal")
-        if corrupt:
-            logger.warning(
-                "journal %s: skipped %d torn line(s)", self.path, corrupt
-            )
-        for entry in entries:
-            key = entry.get("key") if isinstance(entry, dict) else None
-            if isinstance(key, str):
-                self._keys.add(key)
-
-    def keys(self) -> frozenset:
-        """The fingerprints of every journaled (completed) task."""
-        return frozenset(self._keys)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def record(self, key: str, task_id: str = "") -> None:
-        """Append ``key`` to the journal (idempotent per journal object)."""
-        if key in self._keys:
-            return
-        self._keys.add(key)
-        append_jsonl(
-            self.path, {"key": key, "task_id": task_id}, label="journal"
-        )
-
-
-def _resolve_journal(journal, cache) -> ResumeJournal | None:
-    """Normalize the journal argument; default to one in the cache root."""
-    if journal is False:
-        return None
-    if isinstance(journal, ResumeJournal):
-        return journal
-    if journal is not None:
-        return ResumeJournal(journal)
-    root = getattr(cache, "root", None)
-    if root is None:
-        return None
-    return ResumeJournal(Path(root) / "journal.jsonl")
-
-
 @dataclass(frozen=True)
 class GridReport:
     """What one :func:`execute_grid` call actually did."""
@@ -173,7 +111,6 @@ class GridReport:
     elapsed_s: float
     n_retried: int = 0
     n_quarantined: int = 0
-    n_resumed: int = 0
     #: ``(task_id, reason)`` pairs for tasks that exhausted their retries.
     quarantined: tuple = ()
 
@@ -187,7 +124,6 @@ class GridReport:
             "elapsed_s": self.elapsed_s,
             "n_retried": self.n_retried,
             "n_quarantined": self.n_quarantined,
-            "n_resumed": self.n_resumed,
             "quarantined": [list(item) for item in self.quarantined],
         }
 
@@ -246,7 +182,7 @@ def enumerate_grid(
 
 
 __all__ = [  # RetryPolicy/as_retry_policy live in repro.exec.engine now
-    "GridTask", "RetryPolicy", "ResumeJournal", "GridReport", "GridResults",
+    "GridTask", "RetryPolicy", "GridReport", "GridResults",
     "enumerate_grid", "execute_grid", "resolve_jobs", "as_retry_policy",
 ]
 
@@ -298,7 +234,7 @@ class _GridHooks:
         self.faults = faults
 
     def on_result(self, exec_task: ExecTask, attempt: int, result) -> None:
-        """Persist an accepted result before the engine journals it.
+        """Persist an accepted result to the cache.
 
         A failed cache write is logged and counted, never fatal — the
         result is already in memory and the cache is only an
@@ -332,7 +268,6 @@ def execute_grid(
     cache=None,
     retry: "RetryPolicy | int | None" = None,
     faults=None,
-    journal=None,
 ) -> GridResults:
     """Run every task and return results in task order.
 
@@ -348,19 +283,18 @@ def execute_grid(
     the defaults) bounds per-task attempts; tasks that keep failing are
     quarantined on the report, with ``None`` at their result position.
     ``faults`` (a :class:`~repro.workloads.faults.FaultPlan`) injects
-    deterministic failures for testing.  ``journal`` is a
-    :class:`ResumeJournal`, a path, ``False`` to disable, or ``None`` to
-    derive ``journal.jsonl`` inside the cache directory.
+    deterministic failures for testing.
+
+    A task whose result is in the cache is a hit and never runs again,
+    so re-running a killed build against its cache resumes it:
+    ``cache_hits`` on the report counts the tasks already finished.
     """
     metrics = get_metrics()
     retry = as_retry_policy(retry)
     n_workers = resolve_jobs(jobs)
-    journal = _resolve_journal(journal, cache)
-    journaled = journal.keys() if journal is not None else frozenset()
     results: GridResults = GridResults([None] * len(tasks))
     pending: list[tuple[int, GridTask, str | None]] = []
     hits = 0
-    resumed = 0
     start = time.perf_counter()
     with span(
         "gridexec.grid",
@@ -378,10 +312,6 @@ def execute_grid(
                 else:
                     results[position] = cached
                     hits += 1
-                    if key in journaled:
-                        resumed += 1
-                    elif journal is not None:
-                        journal.record(key, task.task_id)
         hooks = _GridHooks(cache, faults)
         outputs = run_tasks(
             [
@@ -401,7 +331,6 @@ def execute_grid(
             validate=ensure_finite,
             on_result=hooks.on_result,
             after_task=hooks.after_task,
-            journal=journal,
         )
         for (position, task, key), result in zip(pending, outputs):
             results[position] = result
@@ -409,8 +338,6 @@ def execute_grid(
     n_workers = report.n_workers
     metrics.gauge("gridexec.workers").set(n_workers)
     metrics.counter("gridexec.tasks_total").inc(len(tasks))
-    if resumed:
-        metrics.counter("gridexec.resumed_total").inc(resumed)
     elapsed = time.perf_counter() - start
     results.report = GridReport(
         n_tasks=len(tasks),
@@ -421,13 +348,12 @@ def execute_grid(
         elapsed_s=elapsed,
         n_retried=report.n_retried,
         n_quarantined=report.n_quarantined,
-        n_resumed=resumed,
         quarantined=report.quarantined,
     )
     logger.debug(
-        "grid: %d tasks, %d workers, %d hits (%d resumed), %d executed, "
+        "grid: %d tasks, %d workers, %d hits, %d executed, "
         "%d retried, %d quarantined in %.2fs",
-        len(tasks), n_workers, hits, resumed, report.n_executed,
+        len(tasks), n_workers, hits, report.n_executed,
         report.n_retried, report.n_quarantined, elapsed,
     )
     return results

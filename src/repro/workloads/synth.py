@@ -330,7 +330,7 @@ def simulate_spec(
         )
         for i, seed in enumerate(seeds)
     ]
-    results = execute_grid(tasks, jobs=jobs, cache=as_cache(cache), journal=False)
+    results = execute_grid(tasks, jobs=jobs, cache=as_cache(cache))
     return [r for r in results if r is not None]
 
 

@@ -137,18 +137,9 @@ class TestRetryAndQuarantine:
             as_retry_policy("twice")
 
 
-class _Journal:
-    def __init__(self):
-        self.records = []
-
-    def record(self, key, task_id):
-        self.records.append((key, task_id))
-
-
 class TestHooks:
     def test_hook_order_on_result_journal_after_task(self):
         events = []
-        journal = _Journal()
         tasks = [
             ExecTask(
                 index=i, fn=_double, payload=(v,), key=f"k{i}",
@@ -160,15 +151,8 @@ class TestHooks:
             tasks,
             on_result=lambda t, a, r: events.append(("result", t.index, r)),
             after_task=lambda t: events.append(("after", t.index)),
-            journal=journal,
         )
         assert events == [
             ("result", 0, 2), ("after", 0),
             ("result", 1, 4), ("after", 1),
         ]
-        assert journal.records == [("k0", "t0"), ("k1", "t1")]
-
-    def test_keyless_tasks_are_not_journaled(self):
-        journal = _Journal()
-        run_tasks(tasks_for([1]), journal=journal)
-        assert journal.records == []

@@ -63,8 +63,8 @@ class TestGridexecFallback:
             sample_interval_s=10.0,
             random_state=3,
         )
-        baseline = execute_grid(tasks, journal=False)
-        results = execute_grid(tasks, jobs=2, journal=False)
+        baseline = execute_grid(tasks)
+        results = execute_grid(tasks, jobs=2)
         assert _fallbacks(fresh_metrics, "gridexec") == 1
         assert results.report.n_quarantined == 0
         for a, b in zip(baseline, results):

@@ -51,7 +51,7 @@ class TestCorpusCache:
             random_state=23,
         )
         cache = CorpusCache(tmp_path)
-        execute_grid(tasks, cache=cache, journal=False)
+        execute_grid(tasks, cache=cache)
         return cache, cache.task_key(tasks[0])
 
     def test_put_rejects_non_finite(self, warm_cache):
@@ -90,8 +90,17 @@ class TestCorpusCache:
 
 
 class TestDistanceCache:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
-                                     float("-inf")])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            True,  # booleans are not distances
+            "1.0",  # neither are strings
+            [1.0],  # nor lists, which the fit cache keeps
+        ],
+    )
     def test_put_never_persists_non_finite(self, tmp_path, bad):
         cache = DistanceCache(tmp_path)
         cache.put("a" * 64, bad)

@@ -1,12 +1,20 @@
-"""The shared JSONL discipline: torn-tail healing and concurrent writers.
+"""The shared JSONL discipline: torn-tail healing, concurrent writers,
+and the one key-value store built on it.
 
 ``repro.exec.journal`` is the single append/load implementation behind
-the resume journal, the fit cache, the distance cache, and the run
-ledger.  Beyond the single-writer torn-tail contract each component used
-to pin individually, this file drives **multiple writer processes**
-against one file: POSIX serializes append-mode writes, and because the
-healing newline and the row go out as one ``write()``, two processes can
-interleave whole rows but never corrupt each other's bytes.
+the fit cache, the distance cache, the run ledger and the job queue.
+Beyond the single-writer torn-tail contract, this file drives
+**multiple writer processes** against one file: POSIX serializes
+append-mode writes, and because the healing newline and the row go out
+as one ``write()``, two processes can interleave whole rows but never
+corrupt each other's bytes.
+
+:class:`TestKeyValueStores` runs the loader's row-shape rules and the
+on-disk byte format through both
+:class:`~repro.exec.journal.KeyValueJournal` stores.  Each store's
+round trip, torn tails, ``clear`` and coercion are pinned next to it
+(``tests/similarity/test_distcache.py``, ``tests/ml/test_fitexec.py``),
+and its non-finite guard in ``tests/exec/test_finite_guard.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ import multiprocessing
 import pytest
 
 from repro.exec.journal import append_jsonl, load_jsonl
+from repro.ml.fitexec import FitCache
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.similarity.distcache import DistanceCache
 
 ROWS_PER_WRITER = 200
 
@@ -129,3 +140,79 @@ class TestConcurrentWriters:
         for line in path.read_text().splitlines():
             if line.strip() and "torn" not in line:
                 json.loads(line)
+
+
+#: Each store, a value it keeps, and two lines in the byte format of
+#: the files it has always written (the keys are real pair and fit
+#: keys), so entries on disk stay addressable.
+STORES = {
+    "distance": (
+        DistanceCache,
+        0.1 + 0.2,
+        b'{"key": "cf1ed5dfeeae7e2226fafccd7ee0ad2eff921ceb529e8d6af3ae8609'
+        b'84ddccee", "value": 0.30000000000000004}\n'
+        b'{"key": "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb'
+        b'bbbb", "value": 1e-300}\n',
+    ),
+    "fit": (
+        FitCache,
+        {"scores": [0.25, 0.75], "n": 3},
+        b'{"key": "fc6cfd3317605ccc3521fa5b978ee1f97cc48e118cc302236c8bccbe'
+        b'88ab7957", "value": {"scores": [0.25, 0.30000000000000004], '
+        b'"n": 3}}\n'
+        b'{"key": "cccccccccccccccccccccccccccccccccccccccccccccccccccccccc'
+        b'cccccccc", "value": [1.5, [2.0, -0.0]]}\n',
+    ),
+}
+
+
+@pytest.fixture(params=sorted(STORES))
+def store(request):
+    """``(store class, a value it keeps, its file's bytes)``."""
+    return STORES[request.param]
+
+
+@pytest.fixture
+def metrics():
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    yield registry
+    set_metrics(previous)
+
+
+class TestKeyValueStores:
+    def test_corrupt_lines_counted_not_fatal(self, tmp_path, store, metrics):
+        cls, value, _ = store
+        path = tmp_path / cls.filename
+        path.write_text(
+            "not json at all\n"
+            + json.dumps({"key": "none", "value": None}) + "\n"
+            + json.dumps({"key": 7, "value": value}) + "\n"
+            + json.dumps({"no_key": 1}) + "\n"
+            + json.dumps(["key", value]) + "\n"
+            + json.dumps({"key": "ok", "value": value}) + "\n"
+        )
+        cache = cls(tmp_path)
+        assert len(cache) == 1
+        assert cache.get("ok") == value
+        assert metrics.counter(f"{cls.family}.corrupt_total").value == 5
+
+    def test_existing_files_stay_addressable(self, tmp_path, store):
+        """Entries written in the long-standing byte format load as the
+        same entries, and a store writes those entries back byte for
+        byte."""
+        cls, _, raw = store
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        (old / cls.filename).write_bytes(raw)
+        loaded = cls(old)
+        expected = {}
+        for line in raw.decode().splitlines():
+            row = json.loads(line)
+            expected[row["key"]] = row["value"]
+        assert len(loaded) == len(expected)
+        rewritten = cls(new)
+        for key, value in expected.items():
+            assert loaded.get(key) == value
+            rewritten.put(key, value)
+        assert (new / cls.filename).read_bytes() == raw

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.ml.fitexec import (
     FitCache,
     array_digest,
-    as_fit_cache,
     count_fits,
     fit_key,
     run_units,
@@ -86,9 +85,11 @@ class TestFitCache:
     def test_round_trip(self, tmp_path, metrics):
         cache = FitCache(tmp_path)
         cache.put("k", [1.0, 2.5])
+        cache.put("k", [1.0, 2.5])  # idempotent: one line
         assert cache.get("k") == [1.0, 2.5]
         reopened = FitCache(tmp_path)
         assert reopened.get("k") == [1.0, 2.5]
+        assert len(cache.path.read_text().splitlines()) == 1
 
     @given(
         value=st.recursive(
@@ -142,10 +143,12 @@ class TestFitCache:
         with path.open("ab") as handle:
             handle.write(b'{"key": "torn"')  # no trailing newline
         cache2 = FitCache(tmp_path)
+        assert cache2.get("torn") is None
         cache2.put("b", 2.0)
         reopened = FitCache(tmp_path)
         assert reopened.get("a") == 1.0
         assert reopened.get("b") == 2.0
+        assert metrics.counter("fit_cache.corrupt_total").value == 2
 
     def test_hit_miss_metrics(self, tmp_path, metrics):
         cache = FitCache(tmp_path)
@@ -162,22 +165,28 @@ class TestFitCache:
         assert len(cache) == 0
         assert not (tmp_path / "fits.jsonl").exists()
         assert FitCache(tmp_path).get("k") is None
+        cache.clear()  # clearing an absent file is fine
 
 
 class TestAsFitCache:
+    """``FitCache.coerce``: the one way a ``fit_cache=`` argument opens."""
+
     def test_none_passthrough(self):
-        assert as_fit_cache(None) is None
+        assert FitCache.coerce(None) is None
 
     def test_cache_passthrough(self, tmp_path):
         cache = FitCache(tmp_path)
-        assert as_fit_cache(cache) is cache
+        assert FitCache.coerce(cache) is cache
 
     def test_path_coerced(self, tmp_path):
-        assert isinstance(as_fit_cache(str(tmp_path)), FitCache)
+        for path in (str(tmp_path), tmp_path):
+            cache = FitCache.coerce(path)
+            assert isinstance(cache, FitCache)
+            assert cache.path == tmp_path / "fits.jsonl"
 
     def test_rejects_other_types(self):
-        with pytest.raises(TypeError, match="fit_cache"):
-            as_fit_cache(42)
+        with pytest.raises(TypeError, match="FitCache"):
+            FitCache.coerce(42)
 
 
 class TestRunUnits:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.core.config import PipelineConfig
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve.app import ServeApp
+from repro.serve.service import PredictionService
 
 
 @pytest.fixture
@@ -197,3 +201,43 @@ class TestShutdown:
         # Health stays up for orchestrators during drain.
         status, _, _ = app.handle("GET", "/healthz", None)
         assert status == 200
+
+
+class TestDiskCaches:
+    def test_rank_requests_read_the_distance_cache_once(
+        self, serve_references, target_payload, tmp_path, fresh_metrics,
+        monkeypatch,
+    ):
+        """The service opens its distance cache at construction; rank
+        requests use the open store instead of re-reading a file that
+        grows with every distinct request."""
+        cache_dir = tmp_path / "distances"
+        cache_dir.mkdir()
+        path = cache_dir / "distances.jsonl"
+        path.write_text(json.dumps({"key": "0" * 64, "value": 1.0}) + "\n")
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            if self == path:
+                reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        service = PredictionService(
+            serve_references, PipelineConfig(distance_cache=str(cache_dir))
+        )
+        service.warmup()
+        application = ServeApp(service, references_digest="refs-digest")
+        try:
+            for n in range(6):
+                status, body, _ = application.handle(
+                    "POST", "/v1/rank", rank_payload(target_payload, nonce=n)
+                )
+                assert status == 200
+                assert body["meta"]["cache_tier"] == "compute"
+        finally:
+            application.shutdown(drain_timeout=10.0)
+        assert len(reads) == 1
+        # Later requests answer from entries the first one appended.
+        assert fresh_metrics.counter("distance_cache.hits_total").value > 0

@@ -8,6 +8,7 @@ import os
 import re
 import resource
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -120,6 +121,38 @@ def test_keepalive_responses_do_not_stall():
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert statistics.median(latencies) < 0.010
+
+
+@pytest.mark.parametrize("declared", ["abc", "-5", "1.5", "+5", ""])
+def test_bad_content_length_is_400_and_closes(declared):
+    """A Content-Length that is not a non-negative integer gets a 400
+    and a closed connection; the unread body (here a second request)
+    must not be parsed as the next keep-alive request."""
+    server = make_server(_StubApp(), port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    header = b"Content-Length: " + declared.encode() + b"\r\n"
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/rank HTTP/1.1\r\nHost: localhost\r\n"
+                + header + b"\r\n" + smuggled
+            )
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert "invalid Content-Length" in json.loads(body)["error"]
+    assert raw.count(b"HTTP/1.1 ") == 1
 
 
 #: Soft open-file limit the CLI server must boot under.  Far below the

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.similarity.distcache import (
-    DistanceCache,
-    as_distance_cache,
-    matrix_digest,
-    pair_key,
-)
+from repro.similarity.distcache import DistanceCache, matrix_digest, pair_key
 
 
 @pytest.fixture()
@@ -56,10 +51,12 @@ class TestRoundTrip:
     def test_put_get_persists_across_instances(self, tmp_path, metrics):
         cache = DistanceCache(tmp_path)
         cache.put("k1", 1.5)
+        cache.put("k1", 1.5)  # idempotent: one line
         assert cache.get("k1") == 1.5
         reopened = DistanceCache(tmp_path)
         assert len(reopened) == 1
         assert reopened.get("k1") == 1.5
+        assert len(cache.path.read_text().splitlines()) == 1
 
     def test_miss_returns_none_and_counts(self, tmp_path, metrics):
         cache = DistanceCache(tmp_path)
@@ -83,6 +80,7 @@ class TestRoundTrip:
         assert len(cache) == 0
         assert not cache.path.exists()
         assert DistanceCache(tmp_path).get("k") is None
+        cache.clear()  # clearing an absent file is fine
 
 
 class TestCorruptTolerance:
@@ -94,6 +92,7 @@ class TestCorruptTolerance:
         reopened = DistanceCache(tmp_path)
         assert reopened.get("good") == 1.0
         assert reopened.get("torn") is None
+        assert metrics.counter("distance_cache.corrupt_total").value == 1
 
     def test_append_heals_torn_tail(self, tmp_path, metrics):
         cache = DistanceCache(tmp_path)
@@ -112,22 +111,28 @@ class TestCorruptTolerance:
             "not json at all\n"
             + json.dumps({"key": "bool", "value": True}) + "\n"
             + json.dumps({"key": "string", "value": "x"}) + "\n"
+            + json.dumps({"key": "list", "value": [1.0]}) + "\n"
             + json.dumps({"key": "ok", "value": 4.0}) + "\n"
             + json.dumps({"no_key": 1}) + "\n"
         )
         cache = DistanceCache(tmp_path)
         assert len(cache) == 1
         assert cache.get("ok") == 4.0
-        assert metrics.counter("distance_cache.corrupt_total").value == 4
+        assert metrics.counter("distance_cache.corrupt_total").value == 5
 
 
 class TestNormalization:
-    def test_as_distance_cache_accepts_paths_and_none(self, tmp_path):
-        assert as_distance_cache(None) is None
-        cache = as_distance_cache(str(tmp_path))
-        assert isinstance(cache, DistanceCache)
-        assert as_distance_cache(cache) is cache
+    """``DistanceCache.coerce``: the one way a ``distance_cache=``
+    argument opens."""
 
-    def test_as_distance_cache_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_distance_cache(42)
+    def test_coerce_accepts_paths_and_none(self, tmp_path):
+        assert DistanceCache.coerce(None) is None
+        for path in (str(tmp_path), tmp_path):
+            cache = DistanceCache.coerce(path)
+            assert isinstance(cache, DistanceCache)
+            assert cache.path == tmp_path / "distances.jsonl"
+        assert DistanceCache.coerce(cache) is cache
+
+    def test_coerce_rejects_other_types(self):
+        with pytest.raises(TypeError, match="DistanceCache"):
+            DistanceCache.coerce(42)

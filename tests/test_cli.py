@@ -93,7 +93,9 @@ class TestCorpus:
         grid = json.loads(manifest_path.read_text())["extra"]["grid"]
         assert grid["quarantined"] == 0
         assert grid["retried"] == 0
-        assert "resumed" in grid
+        # A cold build: every task is a cache miss.
+        assert grid["cache_hits"] == 0
+        assert grid["cache_misses"] > 0
 
     def test_build_requires_out(self, capsys):
         assert main(["corpus", "--kind", "paper", "--no-cache"]) == 2

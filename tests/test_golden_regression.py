@@ -19,7 +19,9 @@ import math
 
 import pytest
 
-from tests.golden.builders import BUILDERS, GOLDEN_DIR
+from repro.core.config import PipelineConfig
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from tests.golden.builders import BUILDERS, GOLDEN_DIR, pipeline_predictions
 
 ATOL = 1e-12
 RTOL = 1e-12
@@ -61,3 +63,30 @@ def test_golden_files_have_no_strays():
     """Every committed golden file is covered by a builder."""
     committed = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert committed == set(BUILDERS)
+
+
+def test_pipeline_golden_with_cold_and_warm_caches(tmp_path):
+    """The distance and fit caches change no pipeline answer.
+
+    The cold run fills both caches, the warm run (a fresh pipeline that
+    reads them back from disk) answers from them; both must equal each
+    other exactly and the golden within the usual tolerance.
+    """
+    expected = json.loads((GOLDEN_DIR / "pipeline_predictions.json").read_text())
+    config = PipelineConfig(
+        distance_cache=str(tmp_path / "distances"),
+        fit_cache=str(tmp_path / "fits"),
+    )
+    cold = pipeline_predictions(config)
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        warm = pipeline_predictions(config)
+    finally:
+        set_metrics(previous)
+    assert registry.counter("distance_cache.hits_total").value > 0
+    assert registry.counter("distance_cache.misses_total").value == 0
+    assert registry.counter("fit_cache.hits_total").value > 0
+    assert registry.counter("fit_cache.misses_total").value == 0
+    assert warm == cold
+    assert_matches(cold, expected)

@@ -198,7 +198,7 @@ class TestCacheVerify:
     def populate(self, tmp_path):
         cache = CorpusCache(tmp_path)
         tasks = tiny_tasks()
-        for task, result in zip(tasks, execute_grid(tasks, journal=False)):
+        for task, result in zip(tasks, execute_grid(tasks)):
             cache.put(cache.task_key(task), result)
         return cache, tasks
 

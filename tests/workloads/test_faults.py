@@ -15,7 +15,6 @@ resume tests run in every leg.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.workloads import (
     CorpusCache,
     FaultPlan,
     KillSwitch,
-    ResumeJournal,
     RetryPolicy,
     TaskExceptionInjector,
     TelemetryFaultInjector,
@@ -87,7 +85,7 @@ def tiny_tasks(random_state=17, n_runs=2):
 @pytest.fixture(scope="module")
 def clean_results():
     """An undisturbed serial build, the bit-identical reference."""
-    return list(execute_grid(tiny_tasks(), journal=False))
+    return list(execute_grid(tiny_tasks()))
 
 
 class TestRetryPolicy:
@@ -117,43 +115,6 @@ class TestRetryPolicy:
         assert as_retry_policy(policy) is policy
         with pytest.raises(TypeError):
             as_retry_policy("twice")
-
-
-class TestResumeJournal:
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = ResumeJournal(path)
-        assert len(journal) == 0
-        journal.record("a" * 64, "tpcc@4c32gx2t-r0g0")
-        journal.record("b" * 64)
-        assert "a" * 64 in journal
-        assert len(journal) == 2
-        reloaded = ResumeJournal(path)
-        assert reloaded.keys() == {"a" * 64, "b" * 64}
-
-    def test_record_is_idempotent(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = ResumeJournal(path)
-        journal.record("a" * 64)
-        journal.record("a" * 64)
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_tolerates_torn_tail(self, tmp_path):
-        """A SIGKILL mid-append leaves a torn last line; it is skipped."""
-        path = tmp_path / "journal.jsonl"
-        journal = ResumeJournal(path)
-        journal.record("a" * 64)
-        journal.record("b" * 64)
-        with path.open("a") as handle:
-            handle.write('{"key": "cccc')  # torn by the kill
-        reloaded = ResumeJournal(path)
-        assert reloaded.keys() == {"a" * 64, "b" * 64}
-        # Appending after a torn tail keeps the file parseable.
-        reloaded.record("d" * 64)
-        assert ResumeJournal(path).keys() == {"a" * 64, "b" * 64, "d" * 64}
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(ResumeJournal(tmp_path / "absent.jsonl")) == 0
 
 
 class TestInjectorDeterminism:
@@ -198,7 +159,7 @@ class TestTaskExceptionFaults:
     ):
         faults = FaultPlan(TaskExceptionInjector(1.0, max_failures=1))
         results = execute_grid(
-            tiny_tasks(), retry=FAST_RETRY, faults=faults, journal=False
+            tiny_tasks(), retry=FAST_RETRY, faults=faults
         )
         report = results.report
         assert report.n_quarantined == 0
@@ -221,7 +182,7 @@ class TestTaskExceptionFaults:
         doomed = {t.task_id for t in tasks if faults.injectors[0].selects(t)}
         assert 0 < len(doomed) < len(tasks)  # the rate splits this grid
         results = execute_grid(
-            tasks, retry=FAST_RETRY, faults=faults, journal=False
+            tasks, retry=FAST_RETRY, faults=faults
         )
         report = results.report
         assert {task_id for task_id, _ in report.quarantined} == doomed
@@ -255,7 +216,6 @@ class TestTaskExceptionFaults:
         faults = FaultPlan(TaskExceptionInjector(1.0, max_failures=1))
         results = execute_grid(
             tiny_tasks(), jobs=2, retry=FAST_RETRY, faults=faults,
-            journal=False,
         )
         assert results.report.n_quarantined == 0
         assert results.report.n_retried == len(results)
@@ -270,7 +230,7 @@ class TestWorkerDeathFaults:
     def test_serial_death_is_retried(self, clean_results):
         faults = FaultPlan(WorkerDeathInjector(1.0, max_failures=1))
         results = execute_grid(
-            tiny_tasks(), retry=FAST_RETRY, faults=faults, journal=False
+            tiny_tasks(), retry=FAST_RETRY, faults=faults
         )
         assert results.report.n_quarantined == 0
         assert results.report.n_retried == len(results)
@@ -286,7 +246,6 @@ class TestWorkerDeathFaults:
         faults = FaultPlan(WorkerDeathInjector(0.5, seed=5, max_failures=1))
         results = execute_grid(
             tiny_tasks(), jobs=2, retry=FAST_RETRY, faults=faults,
-            journal=False,
         )
         report = results.report
         assert report.n_quarantined == 0
@@ -304,7 +263,6 @@ class TestWorkerDeathFaults:
         faults = FaultPlan(WorkerDeathInjector(1.0, max_failures=1))
         results = execute_grid(
             tiny_tasks(), jobs=2, retry=FAST_RETRY, faults=faults,
-            journal=False,
         )
         assert results.report.n_quarantined == 0
         for clean, faulted in zip(clean_results, results):
@@ -324,7 +282,7 @@ class TestTelemetryFaults:
         """NaN telemetry must never reach the repository or the cache."""
         faults = FaultPlan(TelemetryFaultInjector(1.0, max_failures=1))
         results = execute_grid(
-            tiny_tasks(), retry=FAST_RETRY, faults=faults, journal=False
+            tiny_tasks(), retry=FAST_RETRY, faults=faults
         )
         assert results.report.n_quarantined == 0
         assert results.report.n_retried == len(results)
@@ -349,7 +307,7 @@ class TestTelemetryFaults:
             TelemetryFaultInjector(1.0, max_failures=1, mode="zero")
         )
         results = execute_grid(
-            tiny_tasks(), retry=FAST_RETRY, faults=faults, journal=False
+            tiny_tasks(), retry=FAST_RETRY, faults=faults
         )
         report = results.report
         assert report.n_quarantined == 0
@@ -415,15 +373,15 @@ class TestKillAndResume:
 
     def kill_then_resume(self, tmp_path, *, jobs=None, kill_after=2):
         tasks = tiny_tasks()
-        clean = execute_grid(tasks, journal=False)
+        clean = execute_grid(tasks)
         cache = CorpusCache(tmp_path)
         with pytest.raises(InjectedKill):
             execute_grid(
                 tasks, jobs=jobs, cache=cache,
                 faults=FaultPlan(KillSwitch(kill_after)),
             )
-        journal = ResumeJournal(tmp_path / "journal.jsonl")
-        assert len(journal) == kill_after
+        # The cache is the record of finished tasks.
+        assert len(CorpusCache(tmp_path)) == kill_after
         set_metrics(MetricsRegistry())
         resumed = execute_grid(tasks, jobs=jobs, cache=cache)
         return tasks, clean, resumed, get_metrics()
@@ -433,13 +391,11 @@ class TestKillAndResume:
     ):
         tasks, clean, resumed, registry = self.kill_then_resume(tmp_path)
         report = resumed.report
-        assert report.n_resumed == 2
         assert report.cache_hits == 2
         assert report.n_executed == len(tasks) - 2
         assert registry.counter("runner.experiments_total").value == (
             len(tasks) - 2
         )
-        assert registry.counter("gridexec.resumed_total").value == 2
         from repro.workloads.repository import results_equal
 
         for a, b in zip(clean, resumed):
@@ -451,7 +407,7 @@ class TestKillAndResume:
         tasks, clean, resumed, registry = self.kill_then_resume(
             tmp_path, jobs=2
         )
-        assert resumed.report.n_resumed == 2
+        assert resumed.report.cache_hits == 2
         assert registry.counter("runner.experiments_total").value == (
             len(tasks) - 2
         )
@@ -485,23 +441,3 @@ class TestKillAndResume:
         )
         assert get_metrics().counter("runner.experiments_total").value == 2
         assert repositories_equal(clean, resumed)
-
-    def test_journal_false_disables_journalling(self, tmp_path):
-        cache = CorpusCache(tmp_path)
-        execute_grid(tiny_tasks(), cache=cache, journal=False)
-        assert not (tmp_path / "journal.jsonl").exists()
-
-    def test_journal_lines_name_tasks(self, tmp_path):
-        cache = CorpusCache(tmp_path)
-        tasks = tiny_tasks()
-        execute_grid(tasks, cache=cache)
-        lines = [
-            json.loads(line)
-            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
-        ]
-        assert {entry["key"] for entry in lines} == {
-            cache.task_key(t) for t in tasks
-        }
-        assert {entry["task_id"] for entry in lines} == {
-            t.task_id for t in tasks
-        }
