@@ -65,6 +65,7 @@ from repro.workloads.sampling import (
 from repro.workloads.repository import (
     ExperimentRepository,
     repositories_equal,
+    repository_digest,
     result_from_dict,
     result_to_dict,
     results_equal,
@@ -151,6 +152,7 @@ __all__ = [
     "augmented_throughputs",
     "ExperimentRepository",
     "repositories_equal",
+    "repository_digest",
     "result_from_dict",
     "result_to_dict",
     "results_equal",

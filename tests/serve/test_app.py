@@ -12,6 +12,8 @@ from repro.core.config import PipelineConfig
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve.app import ServeApp
 from repro.serve.service import PredictionService
+from repro.workloads import run_experiments, twitter
+from repro.workloads.repository import result_to_dict
 
 
 @pytest.fixture
@@ -201,6 +203,38 @@ class TestShutdown:
         # Health stays up for orchestrators during drain.
         status, _, _ = app.handle("GET", "/healthz", None)
         assert status == 200
+
+
+class TestPredictErrors:
+    def test_nearest_reference_missing_the_target_sku_400(
+        self, serve_references, serve_skus, fresh_metrics
+    ):
+        """Twitter lacks s8, which TPC-C has: predicting a Twitter target
+        to s8 names the reference and the SKU instead of failing 500."""
+        references = serve_references.filter(
+            lambda r: not (r.workload_name == "twitter" and r.sku.name == "s8")
+        )
+        service = PredictionService(references, PipelineConfig())
+        service.warmup()
+        target = run_experiments(
+            [twitter()],
+            [serve_skus[0]],
+            terminals_for=lambda w: (4,),
+            n_runs=1,
+            duration_s=600.0,
+            random_state=5,
+        )
+        application = ServeApp(service, references_digest="no-twitter-s8")
+        try:
+            status, body, _ = application.handle(
+                "POST",
+                "/v1/predict",
+                predict_payload([result_to_dict(r) for r in target]),
+            )
+        finally:
+            application.shutdown(drain_timeout=10.0)
+        assert status == 400
+        assert "reference 'twitter' has no runs on SKU 's8'" in body["error"]
 
 
 class TestDiskCaches:

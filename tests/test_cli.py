@@ -289,6 +289,23 @@ def prediction_inputs(tmp_path_factory):
     return refs, target
 
 
+def test_predict_to_a_sku_the_references_lack_exits_1(
+    prediction_inputs, capsys
+):
+    refs, target = prediction_inputs
+    code = main(
+        [
+            "predict", "--references", str(refs), "--target", str(target),
+            "--source-cpus", "2", "--target-cpus", "16",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "16cpu-32gb" in err
+    assert "Traceback" not in err
+
+
 class TestObservabilityFlags:
     def test_predict_writes_trace_metrics_manifest(
         self, prediction_inputs, tmp_path, capsys

@@ -1,8 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.exceptions import RepositoryError
-from repro.workloads import ExperimentRepository, SKU
+from repro.workloads import (
+    SKU,
+    ExperimentRepository,
+    repositories_equal,
+    repository_digest,
+    result_from_dict,
+    result_to_dict,
+    results_equal,
+)
+from repro.workloads.runner import ExperimentResult
 from repro.workloads.sampling import systematic_subexperiments
 
 
@@ -122,3 +133,94 @@ class TestCorpusBuilders:
         corpus = production_corpus(duration_s=600.0, n_subexperiments=2)
         assert "pw" in corpus.workload_names()
         assert corpus.by_workload("pw")[0].sku.cpus == 80
+
+
+def _perturbed(result, field):
+    """``result`` with one field changed to a different value."""
+    if field.startswith("sku."):
+        attr = field[len("sku."):]
+        value = getattr(result.sku, attr)
+        changed = value + "-x" if isinstance(value, str) else value * 2
+        return dataclasses.replace(
+            result, sku=dataclasses.replace(result.sku, **{attr: changed})
+        )
+    value = getattr(result, field)
+    if isinstance(value, np.ndarray):
+        changed = value.copy()
+        changed.flat[0] += 1.0
+    elif isinstance(value, dict):
+        changed = {**value, "extra": 1.0}
+    elif isinstance(value, list):
+        changed = [*value[:-1], value[-1] + "-x"]
+    elif isinstance(value, str):
+        changed = value + "-x"
+    elif value is None:
+        changed = 3
+    else:
+        changed = value + 1
+    return dataclasses.replace(result, **{field: changed})
+
+
+#: Every field ``results_equal`` compares; the SKU field by attribute.
+DIGEST_FIELDS = [
+    "resource_series", "throughput_series", "plan_matrix",
+    "workload_name", "workload_type",
+    "sku.cpus", "sku.memory_gb", "sku.iops_capacity",
+    "sku.log_bandwidth_mb_s", "sku.name",
+    "terminals", "run_index", "data_group", "sample_interval_s",
+    "plan_txn_names", "throughput", "latency_ms", "per_txn_latency_ms",
+    "per_txn_weights", "bottleneck", "subsample_index", "metadata",
+]
+
+
+class TestRepositoryDigest:
+    def test_fields_cover_the_result(self):
+        covered = {field.split(".")[0] for field in DIGEST_FIELDS}
+        assert covered == {f.name for f in dataclasses.fields(ExperimentResult)}
+
+    def test_equal_repositories_share_a_digest(self, tpcc_run):
+        copy = ExperimentRepository(
+            [result_from_dict(result_to_dict(tpcc_run))]
+        )
+        original = ExperimentRepository([tpcc_run])
+        assert repositories_equal(original, copy)
+        assert repository_digest(original) == repository_digest(copy)
+
+    def test_order_and_length_matter(self, tpcc_run):
+        other = dataclasses.replace(tpcc_run, run_index=tpcc_run.run_index + 1)
+        digests = {
+            repository_digest(ExperimentRepository(results))
+            for results in (
+                [tpcc_run], [tpcc_run, other], [other, tpcc_run], []
+            )
+        }
+        assert len(digests) == 4
+
+    @pytest.mark.parametrize("field", DIGEST_FIELDS)
+    def test_perturbing_one_field_changes_the_digest(self, tpcc_run, field):
+        changed = _perturbed(tpcc_run, field)
+        assert not results_equal(tpcc_run, changed)
+        assert repository_digest(
+            ExperimentRepository([changed])
+        ) != repository_digest(ExperimentRepository([tpcc_run]))
+
+    def test_metadata_marshal_cannot_write_is_hashed_by_repr(self, tpcc_run):
+        a, b, c = (
+            repository_digest(
+                ExperimentRepository(
+                    [dataclasses.replace(tpcc_run, metadata={"note": Opaque(n)})]
+                )
+            )
+            for n in (1, 1, 2)
+        )
+        assert a == b != c
+
+
+class Opaque:
+    """A metadata value ``marshal`` cannot write."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __repr__(self) -> str:
+        return f"Opaque({self.n})"
