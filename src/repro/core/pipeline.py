@@ -15,8 +15,9 @@ Stage 1 and the reference side of stages 2 and 3 depend only on the
 reference corpus and the config, so they live in a
 :class:`ReferenceCatalog`: the expanded references, the selected
 features and the fitted scaling models, each built on first use.  A
-pipeline keeps the catalog of the last corpus it saw, keyed by content
-(:func:`~repro.workloads.repository.repository_digest`), and after the
+pipeline keeps the catalog of the last corpus it saw, reused while the
+corpus it is given equals the catalog's own copy
+(:func:`~repro.workloads.repository.repositories_equal`), and after the
 first prediction runs only the per-target stages: expand the target,
 rank, :func:`transfer`.  :class:`~repro.serve.service.PredictionService`
 serves from its pipeline's catalog and calls the same :func:`transfer`.
@@ -53,7 +54,7 @@ from repro.similarity.representations import RepresentationBuilder
 from repro.utils.rng import as_generator
 from repro.workloads.corpus import expand_subexperiments
 from repro.workloads.features import ALL_FEATURES, PLAN_FEATURES, RESOURCE_FEATURES
-from repro.workloads.repository import ExperimentRepository, repository_digest
+from repro.workloads.repository import ExperimentRepository, repositories_equal
 from repro.workloads.sampling import augmented_throughputs
 from repro.workloads.sku import SKU
 
@@ -102,8 +103,8 @@ class ReferenceCatalog:
     the one memo.  Every entry is a pure function of the corpus, the
     config, the SKUs and ``n``, so reusing one changes no answer.
 
-    The catalog keeps its own copy of the corpus it was keyed by, so
-    what it builds later cannot drift from its digest when the caller's
+    The catalog keeps its own copy of the corpus it was built for, so
+    what it builds later cannot drift from that copy when the caller's
     objects change.  Entries are built outside the lock and the first
     writer wins, so concurrent server threads may fit a model twice but
     all use one.  Misses call the pipeline's ``select_features`` and
@@ -114,11 +115,9 @@ class ReferenceCatalog:
         self,
         pipeline: "WorkloadPredictionPipeline",
         references: ExperimentRepository,
-        digest: str,
     ):
         self.pipeline = pipeline
         self.references = ExperimentRepository(copy.deepcopy(list(references)))
-        self.digest = digest
         self._memo: dict = {}
         self._lock = threading.Lock()
 
@@ -188,11 +187,12 @@ class WorkloadPredictionPipeline:
         Keyed by content, not identity: an equal corpus decoded afresh
         reuses the catalog, one changed in place replaces it.
         """
-        digest = repository_digest(references)
         catalog = self._catalog
-        hit = catalog is not None and catalog.digest == digest
+        hit = catalog is not None and repositories_equal(
+            catalog.references, references
+        )
         if not hit:
-            catalog = self._catalog = ReferenceCatalog(self, references, digest)
+            catalog = self._catalog = ReferenceCatalog(self, references)
         get_metrics().counter(
             "pipeline.catalog.hits_total" if hit
             else "pipeline.catalog.misses_total"

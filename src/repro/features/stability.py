@@ -59,8 +59,8 @@ def selection_stability(rankings, k: int) -> float:
     return float(np.mean(scores))
 
 
-def _bootstrap_fit_unit(unit) -> tuple[list[int], int]:
-    """Fit one strategy on one resample: ``(ranking, n_selector_fits)``.
+def _bootstrap_fit_unit(unit) -> list[int]:
+    """Fit one strategy on one resample and return its ranking.
 
     The unit of work shipped to pool workers — and the exact same
     function the serial path calls, which is what keeps parallel
@@ -73,7 +73,8 @@ def _bootstrap_fit_unit(unit) -> tuple[list[int], int]:
 
     selector = strategy_registry()[strategy]()
     selector.fit(X, y)
-    return [int(rank) for rank in selector.ranking()], 1
+    count_fits(1)
+    return [int(rank) for rank in selector.ranking()]
 
 
 def _bootstrap_indices(
@@ -140,36 +141,24 @@ def bootstrap_rankings(
             _bootstrap_indices(rng, y, n_draw)
             for rng in spawn_generators(random_state, n_repetitions)
         ]
-        rankings: list[np.ndarray | None] = [None] * n_repetitions
-        keys: list[str | None] = [None] * n_repetitions
-        units, positions = [], []
-        for position, indices in enumerate(index_sets):
-            if cache is not None:
-                key = fit_key(
+        keys = None
+        if cache is not None:
+            keys = [
+                fit_key(
                     estimator=f"stability:{strategy}",
                     arrays={"X": X[indices], "y": codes[indices]},
                     fold="bootstrap",
                     scorer="ranking",
                 )
-                keys[position] = key
-                value = cache.get(key)
-                if value is not None:
-                    rankings[position] = np.asarray(value, dtype=int)
-                    continue
-            units.append((X[indices], y[indices], strategy))
-            positions.append(position)
-        outputs = run_units(
-            _bootstrap_fit_unit, units, jobs=jobs,
-            label=f"stability:{strategy}",
+                for indices in index_sets
+            ]
+        rankings = run_units(
+            _bootstrap_fit_unit,
+            [(X[indices], y[indices], strategy) for indices in index_sets],
+            jobs=jobs, label=f"stability:{strategy}",
+            keys=keys, cache=cache,
         )
-        total_fits = 0
-        for position, (ranking, n_fits) in zip(positions, outputs):
-            rankings[position] = np.asarray(ranking, dtype=int)
-            total_fits += n_fits
-            if cache is not None:
-                cache.put(keys[position], list(ranking))
-        count_fits(total_fits)
-    return list(rankings)
+    return [np.asarray(ranking, dtype=int) for ranking in rankings]
 
 
 @dataclass(frozen=True)
@@ -202,6 +191,10 @@ def stability_selection(
     top-``k`` selections.  ``jobs``/``fit_cache`` follow the evaluation
     fast path's bit-identical contract.
     """
+    X = np.asarray(X, dtype=float)
+    # Checked before any fit; bootstrap_rankings rejects a non-2-D X.
+    if X.ndim == 2 and not 1 <= k <= X.shape[1]:
+        raise ValidationError(f"k must be in [1, {X.shape[1]}]")
     rankings = bootstrap_rankings(
         X,
         y,
@@ -212,8 +205,6 @@ def stability_selection(
         jobs=jobs,
         fit_cache=fit_cache,
     )
-    if not 1 <= k <= rankings[0].size:
-        raise ValidationError(f"k must be in [1, {rankings[0].size}]")
     return StabilityReport(
         strategy=strategy,
         k=k,

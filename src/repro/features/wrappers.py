@@ -74,22 +74,18 @@ def _importances(model, name: str) -> np.ndarray:
     return model.feature_importances_  # logreg: L2 norm of class coefs
 
 
-def _sfs_cv_score(unit) -> tuple[float, int]:
-    """Mean CV score of one candidate subset: ``(score, n_fits)``.
+def _sfs_cv_score(unit) -> float:
+    """Mean CV score of one candidate subset.
 
     This is the unit of work shipped to pool workers, and the exact same
     function the serial path calls — which is what makes parallel SFS
-    bit-identical to serial.  Fit counts are returned (not published)
-    because workers run with their own metrics registries; the parent
-    aggregates them into ``ml.fits_total``.
+    bit-identical to serial.
     """
     subset, target, estimator, cv = unit
     scores = []
-    n_fits = 0
     splitter = KFold(cv, shuffle=True, random_state=0)
     for train_idx, test_idx in splitter.split(subset):
         model = clone(_make_estimator(estimator))
-        n_fits += 1
         try:
             model.fit(subset[train_idx], target[train_idx])
         except Exception:
@@ -97,7 +93,17 @@ def _sfs_cv_score(unit) -> tuple[float, int]:
             scores.append(-np.inf)
             continue
         scores.append(model.score(subset[test_idx], target[test_idx]))
-    return float(np.mean(scores)), n_fits
+    count_fits(len(scores))
+    return float(np.mean(scores))
+
+
+def _rfe_step_importances(unit) -> list[float]:
+    """Importances of one RFE elimination step (one fit)."""
+    subset, target, estimator = unit
+    model = _make_estimator(estimator)
+    model.fit(subset, target)
+    count_fits(1)
+    return [float(value) for value in _importances(model, estimator)]
 
 
 class RecursiveFeatureElimination(RankBasedSelector):
@@ -130,27 +136,22 @@ class RecursiveFeatureElimination(RankBasedSelector):
         self, subset: np.ndarray, target, codes: np.ndarray, cache
     ) -> np.ndarray:
         """Importances of one elimination step, memoized by content."""
-        key = None
+        keys = None
         if cache is not None:
-            key = fit_key(
-                estimator=self.estimator,
-                params=_estimator_params(self.estimator),
-                arrays={"X": subset, "y": codes},
-                fold="rfe",
-                scorer="importances",
-            )
-            value = cache.get(key)
-            if value is not None:
-                return np.asarray(value, dtype=float)
-        model = _make_estimator(self.estimator)
-        model.fit(subset, target)
-        count_fits(1)
-        importances = np.asarray(
-            _importances(model, self.estimator), dtype=float
+            keys = [
+                fit_key(
+                    estimator=self.estimator,
+                    params=_estimator_params(self.estimator),
+                    arrays={"X": subset, "y": codes},
+                    fold="rfe",
+                    scorer="importances",
+                )
+            ]
+        [importances] = run_units(
+            _rfe_step_importances, [(subset, target, self.estimator)],
+            label=f"rfe:{self.estimator}", keys=keys, cache=cache,
         )
-        if cache is not None:
-            cache.put(key, [float(value) for value in importances])
-        return importances
+        return np.asarray(importances, dtype=float)
 
     def fit(self, X, y) -> "RecursiveFeatureElimination":
         X, y = self._validate(X, y)
@@ -215,16 +216,6 @@ class SequentialFeatureSelector(RankBasedSelector):
         prefix = "Fw" if direction == "forward" else "Bw"
         self.name = f"{prefix} SFS {estimator}"
 
-    def _cv_score(
-        self, X: np.ndarray, target: np.ndarray, columns: list[int]
-    ) -> float:
-        """Mean CV score of the estimator restricted to ``columns``."""
-        score, n_fits = _sfs_cv_score(
-            (X[:, columns], target, self.estimator, self.cv)
-        )
-        count_fits(n_fits)
-        return score
-
     def _candidate_scores(
         self,
         X: np.ndarray,
@@ -240,13 +231,11 @@ class SequentialFeatureSelector(RankBasedSelector):
         candidate order and the caller's argmax walks them serially, so
         the chosen feature is identical at any worker count.
         """
-        scores: list[float | None] = [None] * len(candidates)
-        keys: list[str | None] = [None] * len(candidates)
-        units, positions = [], []
-        for position, columns in enumerate(candidates):
-            subset = X[:, columns]
-            if cache is not None:
-                key = fit_key(
+        subsets = [X[:, columns] for columns in candidates]
+        keys = None
+        if cache is not None:
+            keys = [
+                fit_key(
                     estimator=self.estimator,
                     params=_estimator_params(self.estimator),
                     arrays={"X": subset, "y": codes},
@@ -254,25 +243,14 @@ class SequentialFeatureSelector(RankBasedSelector):
                     fold=f"kfold:{self.cv}:shuffle",
                     scorer="cv_mean",
                 )
-                keys[position] = key
-                value = cache.get(key)
-                if value is not None:
-                    scores[position] = float(value)
-                    continue
-            units.append((subset, target, self.estimator, self.cv))
-            positions.append(position)
-        outputs = run_units(
-            _sfs_cv_score, units, jobs=self.jobs,
-            label=f"sfs:{self.estimator}",
+                for subset in subsets
+            ]
+        return run_units(
+            _sfs_cv_score,
+            [(subset, target, self.estimator, self.cv) for subset in subsets],
+            jobs=self.jobs, label=f"sfs:{self.estimator}",
+            keys=keys, cache=cache,
         )
-        total_fits = 0
-        for position, (score, n_fits) in zip(positions, outputs):
-            scores[position] = score
-            total_fits += n_fits
-            if cache is not None:
-                cache.put(keys[position], score)
-        count_fits(total_fits)
-        return scores
 
     def fit(self, X, y) -> "SequentialFeatureSelector":
         X, y = self._validate(X, y)

@@ -67,18 +67,6 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
         current = np.full(y.shape, self.init_prediction_)
         n_samples = X.shape[0]
         n_subsample = max(1, int(round(self.subsample * n_samples)))
-        # Every non-subsampled stage fits a tree on the *same* X (only
-        # the residuals change), so the per-column stable sort orders are
-        # shared across all rounds; computing them once replaces the
-        # per-node argsorts inside every stage's split search.  Filtered
-        # full-column orders only reproduce subset argsorts for strictly
-        # increasing row sets, so subsampled stages (rng.choice returns
-        # unsorted rows) take the historical path.
-        presorted = (
-            np.argsort(X, axis=0, kind="stable")
-            if n_subsample >= n_samples
-            else None
-        )
         for rng in generators:
             residuals = y - current
             tree = DecisionTreeRegressor(
@@ -86,11 +74,11 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=rng,
             )
-            if presorted is None:
+            if n_subsample < n_samples:
                 rows = rng.choice(n_samples, size=n_subsample, replace=False)
                 tree.fit(X[rows], residuals[rows])
             else:
-                tree.fit(X, residuals, presorted=presorted)
+                tree.fit(X, residuals)
             current += self.learning_rate * tree.predict(X)
             self.estimators_.append(tree)
             self.train_errors_.append(float(np.mean((y - current) ** 2)))

@@ -12,7 +12,9 @@ pieces they build on:
   ``ProcessPoolExecutor``.  The *same* worker function runs on both
   paths and results come back in submission order, so parallel output is
   bit-identical to serial (the contract every parallel engine in this
-  repo honours; see ``docs/performance.md``).
+  repo honours; see ``docs/performance.md``).  Given a cache and one
+  key per unit, it alone looks the units up, runs only the misses and
+  writes their values back.
 - :class:`FitCache` memoizes unit results under a content address
   (:func:`fit_key`): SHA-256 over the input arrays' shapes and bytes,
   the estimator name and canonicalized parameters, the seed(s), the fold
@@ -35,6 +37,7 @@ import json
 import math
 from typing import Callable, Sequence
 
+from repro.exceptions import ValidationError
 from repro.exec.arrays import float64_digest
 from repro.exec.engine import ExecTask, run_tasks
 from repro.exec.journal import KeyValueJournal
@@ -121,9 +124,9 @@ class FitCache(KeyValueJournal):
 def count_fits(n: int) -> None:
     """Publish ``n`` model fits to ``ml.fits_total``.
 
-    Workers run in their own processes with their own metrics registries,
-    so they *return* fit counts and the parent publishes them — serial
-    and parallel runs report identical totals.
+    Unit workers call this for the fits they perform; :func:`run_units`
+    runs every unit under telemetry capture and merges the counts back,
+    so serial and parallel runs report identical totals.
     """
     if n:
         get_metrics().counter("ml.fits_total").inc(n)
@@ -146,12 +149,20 @@ def run_units(
     *,
     jobs: int | None = None,
     label: str = "fitexec",
+    keys: Sequence[str] | None = None,
+    cache: FitCache | None = None,
 ) -> list:
-    """Evaluate independent fit/score units; results in unit order.
+    """Evaluate independent fit/score units; values in unit order.
 
     ``worker`` must be a module-level (picklable) function taking one
-    unit.  ``jobs`` follows the repo-wide convention (``None``/``1``
-    serial, ``0`` one worker per CPU).  Execution rides on the shared
+    unit and returning its value, which must be what ``cache`` stores: a
+    float, a list, or a str-keyed dict of them.  With a ``cache``,
+    ``keys`` holds one :func:`fit_key` per unit: units whose key the
+    cache holds return the cached value and do not run, and the value of
+    every unit that runs is written back under its key.
+
+    ``jobs`` follows the repo-wide convention (``None``/``1`` serial,
+    ``0`` one worker per CPU).  Execution rides on the shared
     :func:`repro.exec.engine.run_tasks` engine: a unit failure
     propagates (``on_error="raise"``, no retry budget — a fit error is
     a bug, not a transient), a dead worker rebuilds the pool and the
@@ -163,30 +174,40 @@ def run_units(
 
     Every unit runs under :func:`repro.obs.telemetry.capture_telemetry`
     and its snapshot is merged back **in submission order** (the order
-    results are consumed in on both paths), so any metrics or spans a
-    unit records — e.g. nested ensemble fits — survive worker processes
-    and match a serial run exactly.
+    results are consumed in on both paths), so the fits a worker counts
+    (:func:`count_fits`) and any other metrics or spans it records
+    survive worker processes and match a serial run exactly.
     """
     units = list(units)
+    if cache is None:
+        values: list = [None] * len(units)
+    else:
+        if keys is None or len(keys) != len(units):
+            raise ValidationError("a fit cache needs one key per unit")
+        values = [cache.get(key) for key in keys]
+    misses = [index for index, value in enumerate(values) if value is None]
     n_workers = resolve_jobs(jobs)
     with span(
         "ml.fitexec",
-        attrs={"label": label, "n_units": len(units), "workers": n_workers},
+        attrs={"label": label, "n_units": len(misses), "workers": n_workers},
     ):
-        return list(
-            run_tasks(
-                [
-                    ExecTask(
-                        index=index,
-                        fn=_fit_unit,
-                        payload=(worker, unit, index, label),
-                        task_id=f"{label}[{index}]",
-                    )
-                    for index, unit in enumerate(units)
-                ],
-                jobs=jobs,
-                retry=1,
-                label="ml.fitexec",
-                on_error="raise",
-            )
+        outputs = run_tasks(
+            [
+                ExecTask(
+                    index=position,
+                    fn=_fit_unit,
+                    payload=(worker, units[index], index, label),
+                    task_id=f"{label}[{index}]",
+                )
+                for position, index in enumerate(misses)
+            ],
+            jobs=jobs,
+            retry=1,
+            label="ml.fitexec",
+            on_error="raise",
         )
+    for index, value in zip(misses, outputs):
+        values[index] = value
+        if cache is not None:
+            cache.put(keys[index], value)
+    return values

@@ -45,13 +45,7 @@ class _TreeBuilder:
     Nodes operate on *index* subsets of the training matrix instead of
     sliced copies — the per-node values are identical, so fitted trees
     are bit-identical to the historical slicing builder, but no X/y
-    copies are made while recursing.  An optional ``presorted`` matrix
-    (stable argsort of each full-X column) lets boosting skip the
-    per-node sorts: filtering a full-column stable order down to a
-    node's rows reproduces the stable argsort of the subset exactly,
-    *provided* the node's indices are strictly increasing — true when
-    the tree is fitted on the full row range, as boosting stages with
-    ``subsample == 1.0`` are.
+    copies are made while recursing.
 
     After :meth:`build`, :meth:`finalize` packs the nodes into
     struct-of-arrays form (feature/threshold/left/right/value arrays)
@@ -82,9 +76,6 @@ class _TreeBuilder:
         self.importances: np.ndarray | None = None
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
-        self._presorted: np.ndarray | None = None
-        self._node_mask: np.ndarray | None = None
-        self._local_position: np.ndarray | None = None
         self._feature: np.ndarray | None = None
         self._threshold: np.ndarray | None = None
         self._left: np.ndarray | None = None
@@ -114,11 +105,9 @@ class _TreeBuilder:
         column: np.ndarray,
         y: np.ndarray,
         parent_impurity: float,
-        order: np.ndarray | None = None,
     ) -> tuple[float, float] | None:
         """Best (gain, threshold) for one feature, or None if unsplittable."""
-        if order is None:
-            order = np.argsort(column, kind="stable")
+        order = np.argsort(column, kind="stable")
         sorted_x = column[order]
         sorted_y = y[order]
         n = sorted_y.size
@@ -161,24 +150,6 @@ class _TreeBuilder:
         threshold = 0.5 * (sorted_x[pos - 1] + sorted_x[pos])
         return float(gains[best]), float(threshold)
 
-    def _feature_order(
-        self, indices: np.ndarray, feature: int
-    ) -> np.ndarray | None:
-        """Local stable sort order for one node/feature pair, via presort.
-
-        Returns ``None`` when no presort is available (the caller sorts).
-        The full-column stable order, filtered to the node's rows, lists
-        them by ``(value, global index)``; because node indices are
-        strictly increasing, that equals ``(value, local position)`` —
-        exactly the stable argsort of the subset.
-        """
-        if self._presorted is None:
-            return None
-        ordered_global = self._presorted[
-            self._node_mask[self._presorted[:, feature]], feature
-        ]
-        return self._local_position[ordered_global]
-
     def _find_split(self, indices: np.ndarray) -> _Split | None:
         y = self._y[indices]
         parent_impurity = self._node_impurity_total(y)
@@ -191,17 +162,10 @@ class _TreeBuilder:
             )
         else:
             candidates = np.arange(n_features)
-        if self._presorted is not None:
-            self._node_mask[:] = False
-            self._node_mask[indices] = True
-            self._local_position[indices] = np.arange(indices.size)
         best: tuple[float, int, float] | None = None  # (gain, feature, threshold)
         for feature in candidates:
             result = self._best_split_for_feature(
-                self._X[indices, feature],
-                y,
-                parent_impurity,
-                order=self._feature_order(indices, feature),
+                self._X[indices, feature], y, parent_impurity
             )
             if result is None:
                 continue
@@ -214,23 +178,10 @@ class _TreeBuilder:
         left_mask = self._X[indices, feature] <= threshold
         return _Split(feature, threshold, gain, left_mask)
 
-    def build(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        presorted: np.ndarray | None = None,
-    ) -> None:
+    def build(self, X: np.ndarray, y: np.ndarray) -> None:
         self.importances = np.zeros(X.shape[1])
         self._X = X
         self._y = y
-        if presorted is not None and presorted.shape != X.shape:
-            raise ValidationError(
-                "presorted index matrix must match the shape of X"
-            )
-        self._presorted = presorted
-        if presorted is not None:
-            self._node_mask = np.zeros(X.shape[0], dtype=bool)
-            self._local_position = np.empty(X.shape[0], dtype=np.intp)
         self._build_node(np.arange(X.shape[0]), depth=0)
         self.finalize()
 
@@ -262,9 +213,6 @@ class _TreeBuilder:
         """Pack nodes struct-of-arrays and drop training-data references."""
         self._X = None
         self._y = None
-        self._presorted = None
-        self._node_mask = None
-        self._local_position = None
         n_nodes = len(self.nodes)
         value_dim = 1 if self.criterion == "mse" else self.n_classes
         self._feature = np.full(n_nodes, -1, dtype=np.intp)
@@ -387,11 +335,7 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
             random_state=random_state,
         )
 
-    def fit(self, X, y, *, presorted=None) -> "DecisionTreeRegressor":
-        """Fit the tree; ``presorted`` is an optional per-column stable
-        argsort of ``X`` (see :class:`_TreeBuilder` — boosting reuses one
-        across rounds).  Fitted splits are identical with or without it.
-        """
+    def fit(self, X, y) -> "DecisionTreeRegressor":
         X = check_2d(X, "X")
         y = np.asarray(y, dtype=float).ravel()
         check_consistent_length(X, y)
@@ -405,7 +349,7 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
             max_features=self.max_features,
             rng=as_generator(self.random_state),
         )
-        self._builder.build(X, y, presorted=presorted)
+        self._builder.build(X, y)
         return self
 
     def predict(self, X) -> np.ndarray:

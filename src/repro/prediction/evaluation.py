@@ -190,18 +190,15 @@ def _check_evaluable(dataset: ScalingDataset, cv: int | None = None) -> None:
             )
 
 
-def _pairwise_pair_unit(unit) -> tuple[list[float], list[float], int]:
-    """All CV folds of one upward SKU pair: ``(scores, times, n_fits)``.
+def _pairwise_pair_unit(unit) -> dict:
+    """All CV folds of one upward SKU pair: ``{"scores", "times"}``.
 
     The unit of work shipped to pool workers — and the exact same
     function the serial path calls, which is what keeps parallel grids
-    bit-identical to serial.  Fit counts are returned, not published:
-    workers run with their own metrics registries and the parent
-    aggregates into ``ml.fits_total``.
+    bit-identical to serial.
     """
     y_source, y_target, pair_groups, strategy, cv, fold_seed, model_seed = unit
     scores, times = [], []
-    n_fits = 0
     splitter = KFold(cv, shuffle=True, random_state=fold_seed)
     for train_idx, test_idx in splitter.split(y_source):
         model = PairwiseScalingModel(strategy, random_state=model_seed)
@@ -212,14 +209,14 @@ def _pairwise_pair_unit(unit) -> tuple[list[float], list[float], int]:
             groups=pair_groups[train_idx],
         )
         times.append(float(time.perf_counter() - start))
-        n_fits += 1
         predictions = model.predict(
             y_source[test_idx], groups=pair_groups[test_idx]
         )
         scores.append(
             float(normalized_rmse(y_target[test_idx], predictions))
         )
-    return scores, times, n_fits
+    count_fits(len(times))
+    return {"scores": scores, "times": times}
 
 
 def evaluate_pairwise_strategy(
@@ -257,57 +254,36 @@ def evaluate_pairwise_strategy(
         "prediction.evaluate_pairwise",
         attrs={"strategy": strategy, "n_pairs": len(pairs), "cv": cv},
     ):
-        results: list[tuple[list[float], list[float]] | None]
-        results = [None] * len(pairs)
-        keys: list[str | None] = [None] * len(pairs)
-        units, positions = [], []
-        for position, ((source, target), (fold_seed, model_seed)) in enumerate(
-            zip(pairs, seeds)
-        ):
-            y_source = dataset.observations[source]
-            y_target = dataset.observations[target]
-            pair_groups = dataset.groups[source]
-            if cache is not None:
-                key = fit_key(
+        keys = None
+        if cache is not None:
+            keys = [
+                fit_key(
                     estimator=f"pairwise:{strategy}",
                     arrays={
-                        "y_source": y_source,
-                        "y_target": y_target,
-                        "groups": pair_groups,
+                        "y_source": dataset.observations[source],
+                        "y_target": dataset.observations[target],
+                        "groups": dataset.groups[source],
                     },
-                    seed=[fold_seed, model_seed],
+                    seed=list(pair_seeds),
                     fold=f"kfold:{cv}:shuffle",
                     scorer="nrmse",
                 )
-                keys[position] = key
-                value = cache.get(key)
-                if value is not None:
-                    results[position] = (
-                        [float(s) for s in value["scores"]],
-                        [float(t) for t in value["times"]],
-                    )
-                    continue
-            units.append(
+                for (source, target), pair_seeds in zip(pairs, seeds)
+            ]
+        results = run_units(
+            _pairwise_pair_unit,
+            [
                 (
-                    y_source, y_target, pair_groups,
-                    strategy, cv, fold_seed, model_seed,
+                    dataset.observations[source], dataset.observations[target],
+                    dataset.groups[source], strategy, cv, *pair_seeds,
                 )
-            )
-            positions.append(position)
-        outputs = run_units(
-            _pairwise_pair_unit, units, jobs=jobs,
-            label=f"pairwise:{strategy}",
+                for (source, target), pair_seeds in zip(pairs, seeds)
+            ],
+            jobs=jobs, label=f"pairwise:{strategy}", keys=keys, cache=cache,
         )
-        total_fits = 0
-        for position, (scores, times, n_fits) in zip(positions, outputs):
-            results[position] = (scores, times)
-            total_fits += n_fits
-            if cache is not None:
-                cache.put(keys[position], {"scores": scores, "times": times})
-        count_fits(total_fits)
     get_metrics().counter("evaluation.cells_total").inc(len(pairs) * cv)
-    all_scores = [score for scores, _ in results for score in scores]
-    all_times = [elapsed for _, times in results for elapsed in times]
+    all_scores = [score for cell in results for score in cell["scores"]]
+    all_times = [elapsed for cell in results for elapsed in cell["times"]]
     return StrategyScore(
         strategy=strategy,
         context="pairwise",
@@ -316,8 +292,8 @@ def evaluate_pairwise_strategy(
     )
 
 
-def _single_fold_unit(unit) -> tuple[list[float], list[float], int]:
-    """One CV fold of the single context: ``(scores, times, n_fits)``.
+def _single_fold_unit(unit) -> dict:
+    """One CV fold of the single context: ``{"scores", "times"}``.
 
     Fits one pooled model on the fold's training slots and scores it per
     upward pair — the same function serially and in workers, so parallel
@@ -341,6 +317,7 @@ def _single_fold_unit(unit) -> tuple[list[float], list[float], int]:
         groups=np.concatenate(groups),
     )
     elapsed = float(time.perf_counter() - start)
+    count_fits(1)
     scores = []
     for _, target in pairs:
         actual = observations[target][test_slots]
@@ -349,7 +326,7 @@ def _single_fold_unit(unit) -> tuple[list[float], list[float], int]:
             groups=obs_groups[target][test_slots],
         )
         scores.append(float(normalized_rmse(actual, predictions)))
-    return scores, [elapsed], 1
+    return {"scores": scores, "times": [elapsed]}
 
 
 def evaluate_single_strategy(
@@ -369,19 +346,20 @@ def evaluate_single_strategy(
     pair's held-out target observations — and averaged over the six pairs,
     making the value directly comparable to the pairwise context.
 
-    With an integer ``random_state`` the CV folds are independent units:
-    ``jobs`` fans them over a process pool (splits are computed
-    parent-side, so output is bit-identical at any worker count) and
-    ``fit_cache`` memoizes each fold's pair scores.  A generator
-    ``random_state`` threads shared state through every fold, so it
-    keeps the legacy serial path and ignores both knobs.
+    The CV folds are independent units: ``jobs`` fans them over a process
+    pool (splits are computed parent-side, so output is bit-identical at
+    any worker count) and ``fit_cache`` memoizes each fold's pair scores.
+    An integer ``random_state`` seeds the folds and the model directly;
+    any other seed first draws one such integer with
+    ``int(rng.integers(0, 2**31))``, as the pairwise evaluator does.
     """
     _check_evaluable(dataset, cv)
     n_slots = len(next(iter(dataset.observations.values())))
     pairs = dataset.upward_pairs()
-    if not isinstance(random_state, (int, np.integer)):
-        return _evaluate_single_serial(dataset, strategy, cv, random_state)
-    model_seed = int(random_state)
+    if isinstance(random_state, (int, np.integer)):
+        model_seed = int(random_state)
+    else:
+        model_seed = int(as_generator(random_state).integers(0, 2**31))
     splitter = KFold(cv, shuffle=True, random_state=model_seed)
     folds = list(splitter.split(np.arange(n_slots)))
     cache = FitCache.coerce(fit_cache)
@@ -389,100 +367,45 @@ def evaluate_single_strategy(
         "prediction.evaluate_single",
         attrs={"strategy": strategy, "n_pairs": len(pairs), "cv": cv},
     ):
-        results: list[tuple[list[float], list[float]] | None]
-        results = [None] * len(folds)
-        keys: list[str | None] = [None] * len(folds)
-        units, positions = [], []
-        for position, (train_slots, test_slots) in enumerate(folds):
-            if cache is not None:
-                arrays = {"train": train_slots, "test": test_slots}
-                for name in dataset.sku_names:
-                    arrays[f"obs:{name}"] = dataset.observations[name]
-                    arrays[f"groups:{name}"] = dataset.groups[name]
-                key = fit_key(
+        keys = None
+        if cache is not None:
+            arrays = {}
+            for name in dataset.sku_names:
+                arrays[f"obs:{name}"] = dataset.observations[name]
+                arrays[f"groups:{name}"] = dataset.groups[name]
+            params = {
+                "sku_order": list(dataset.sku_names),
+                "cpu_counts": {
+                    name: int(dataset.cpu_counts[name])
+                    for name in dataset.sku_names
+                },
+            }
+            keys = [
+                fit_key(
                     estimator=f"single:{strategy}",
-                    params={
-                        "sku_order": list(dataset.sku_names),
-                        "cpu_counts": {
-                            name: int(dataset.cpu_counts[name])
-                            for name in dataset.sku_names
-                        },
-                    },
-                    arrays=arrays,
+                    params=params,
+                    arrays={**arrays, "train": train_slots, "test": test_slots},
                     seed=model_seed,
                     fold=f"kfold:{cv}:shuffle",
                     scorer="nrmse",
                 )
-                keys[position] = key
-                value = cache.get(key)
-                if value is not None:
-                    results[position] = (
-                        [float(s) for s in value["scores"]],
-                        [float(t) for t in value["times"]],
-                    )
-                    continue
-            units.append(
+                for train_slots, test_slots in folds
+            ]
+        results = run_units(
+            _single_fold_unit,
+            [
                 (
                     list(dataset.sku_names), dict(dataset.cpu_counts),
                     dataset.observations, dataset.groups,
                     pairs, strategy, model_seed, train_slots, test_slots,
                 )
-            )
-            positions.append(position)
-        outputs = run_units(
-            _single_fold_unit, units, jobs=jobs,
-            label=f"single:{strategy}",
+                for train_slots, test_slots in folds
+            ],
+            jobs=jobs, label=f"single:{strategy}", keys=keys, cache=cache,
         )
-        total_fits = 0
-        for position, (fold_scores, times, n_fits) in zip(positions, outputs):
-            results[position] = (fold_scores, times)
-            total_fits += n_fits
-            if cache is not None:
-                cache.put(
-                    keys[position], {"scores": fold_scores, "times": times}
-                )
-        count_fits(total_fits)
     get_metrics().counter("evaluation.cells_total").inc(len(folds) * len(pairs))
-    scores = [score for fold_scores, _ in results for score in fold_scores]
-    times = [elapsed for _, fold_times in results for elapsed in fold_times]
-    return StrategyScore(
-        strategy=strategy,
-        context="single",
-        mean_nrmse=float(np.mean(scores)),
-        mean_training_time_s=float(np.mean(times)),
-    )
-
-
-def _evaluate_single_serial(
-    dataset: ScalingDataset, strategy: str, cv: int, random_state
-) -> StrategyScore:
-    """Legacy path for generator seeds: state is shared across folds."""
-    n_slots = len(next(iter(dataset.observations.values())))
-    scores, times = [], []
-    splitter = KFold(cv, shuffle=True, random_state=random_state)
-    for train_slots, test_slots in splitter.split(np.arange(n_slots)):
-        cpus, throughput, groups = [], [], []
-        for name in dataset.sku_names:
-            y = dataset.observations[name][train_slots]
-            cpus.append(np.full(y.size, dataset.cpu_counts[name], dtype=float))
-            throughput.append(y)
-            groups.append(dataset.groups[name][train_slots])
-        model = SingleScalingModel(strategy, random_state=random_state)
-        start = time.perf_counter()
-        model.fit(
-            np.concatenate(cpus),
-            np.concatenate(throughput),
-            groups=np.concatenate(groups),
-        )
-        times.append(time.perf_counter() - start)
-        count_fits(1)
-        for _, target in dataset.upward_pairs():
-            actual = dataset.observations[target][test_slots]
-            predictions = model.predict(
-                np.full(actual.size, dataset.cpu_counts[target], dtype=float),
-                groups=dataset.groups[target][test_slots],
-            )
-            scores.append(normalized_rmse(actual, predictions))
+    scores = [score for cell in results for score in cell["scores"]]
+    times = [elapsed for cell in results for elapsed in cell["times"]]
     return StrategyScore(
         strategy=strategy,
         context="single",

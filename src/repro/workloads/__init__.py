@@ -65,7 +65,6 @@ from repro.workloads.sampling import (
 from repro.workloads.repository import (
     ExperimentRepository,
     repositories_equal,
-    repository_digest,
     result_from_dict,
     result_to_dict,
     results_equal,
@@ -152,7 +151,6 @@ __all__ = [
     "augmented_throughputs",
     "ExperimentRepository",
     "repositories_equal",
-    "repository_digest",
     "result_from_dict",
     "result_to_dict",
     "results_equal",

@@ -12,9 +12,7 @@ order of magnitude smaller and faster to parse than the row-by-row JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import marshal
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -313,14 +311,19 @@ class ExperimentRepository:
 def results_equal(a: ExperimentResult, b: ExperimentResult) -> bool:
     """Exact (bit-level) equality of two experiment results.
 
-    Arrays must match element-for-element with identical shapes; every
-    scalar, mapping, and metadata field must compare equal.  This is the
-    equivalence the determinism suite asserts between serial and parallel
-    corpus builds and between persistence formats.
+    Arrays must match element-for-element with identical shapes and
+    dtypes; every scalar, mapping, and metadata field must compare equal.
+    This is the equivalence the determinism suite asserts between serial
+    and parallel corpus builds and between persistence formats, and the
+    key of the prediction pipeline's reference catalog.
     """
     for name in ARRAY_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
-        if x.shape != y.shape or not np.array_equal(x, y):
+        if (
+            x.shape != y.shape
+            or x.dtype != y.dtype
+            or not np.array_equal(x, y)
+        ):
             return False
     return (
         a.workload_name == b.workload_name
@@ -348,57 +351,3 @@ def repositories_equal(
     if len(a) != len(b):
         return False
     return all(results_equal(x, y) for x, y in zip(a, b))
-
-
-def repository_digest(repository: "ExperimentRepository") -> str:
-    """SHA-256 over every field :func:`results_equal` compares, in order.
-
-    The scalar fields, and each array's dtype and shape, travel as one
-    length-prefixed ``marshal`` document, mappings sorted by key; the
-    array bytes follow it.  Different content never shares a digest.
-    Equal content shares one unless it differs only in representation
-    (``-0.0`` against ``0.0``, an int against an equal float), which
-    can only cost a cache miss.  The digest is an in-memory key, never
-    persisted, so ``marshal``'s format may change between Python
-    versions.
-    """
-    rows, arrays = [], []
-    for result in repository:
-        own = [
-            np.ascontiguousarray(getattr(result, name)) for name in ARRAY_FIELDS
-        ]
-        arrays += own
-        sku = result.sku
-        rows.append(
-            (
-                result.workload_name,
-                result.workload_type,
-                (sku.cpus, sku.memory_gb, sku.iops_capacity,
-                 sku.log_bandwidth_mb_s, sku.name),
-                result.terminals,
-                result.run_index,
-                result.data_group,
-                result.sample_interval_s,
-                list(result.plan_txn_names),
-                result.throughput,
-                result.latency_ms,
-                sorted(result.per_txn_latency_ms.items()),
-                sorted(result.per_txn_weights.items()),
-                result.bottleneck,
-                result.subsample_index,
-                sorted(result.metadata.items()),
-                [(array.dtype.str, array.shape) for array in own],
-            )
-        )
-    try:
-        # Version 2 writes no back-references, so equal values encode
-        # the same whether or not they are one object.
-        document = marshal.dumps(rows, 2)
-    except ValueError:
-        # Metadata holding types marshal cannot write.
-        document = repr(rows).encode("utf-8")
-    digest = hashlib.sha256(len(document).to_bytes(8, "little"))
-    digest.update(document)
-    for array in arrays:
-        digest.update(array)
-    return digest.hexdigest()

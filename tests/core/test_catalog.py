@@ -18,6 +18,7 @@ from repro.exceptions import PipelineError
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.workloads import run_experiments, workload_by_name
 from repro.workloads.repository import (
+    ARRAY_FIELDS,
     ExperimentRepository,
     result_from_dict,
     result_to_dict,
@@ -160,6 +161,22 @@ def test_change_in_place_misses_and_answers_for_the_new_corpus():
     assert np.array_equal(
         after.predicted_throughput, fresh.predicted_throughput
     )
+
+
+def test_float32_copy_misses_the_catalog():
+    """The key compares array dtypes: a float32 copy holding the same
+    values is another corpus."""
+    references = copy_of(prediction_references())
+    narrowed = copy_of(references)
+    for wide, narrow in zip(references, narrowed):
+        for name in ARRAY_FIELDS:
+            values = getattr(wide, name).astype(np.float32)
+            setattr(wide, name, values.astype(float))
+            setattr(narrow, name, values)
+    pipeline = WorkloadPredictionPipeline()
+    pipeline.reference_catalog(references)
+    assert pipeline.reference_catalog(copy_of(references))[1]
+    assert not pipeline.reference_catalog(narrowed)[1]
 
 
 def test_catalog_keeps_its_own_copy_of_the_references():

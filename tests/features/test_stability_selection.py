@@ -72,6 +72,13 @@ class TestBootstrapRankings:
         for ranking in bootstrap_rankings(X, y, "Pearson", n_repetitions=4):
             assert sorted(ranking.tolist()) == list(range(1, X.shape[1] + 1))
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_units_count_their_own_fits(self, stability_data, metrics, jobs):
+        # Three selector fits plus four RFE steps in each of them.
+        X, y = stability_data
+        bootstrap_rankings(X, y, "RFE Linear", n_repetitions=3, jobs=jobs)
+        assert metrics.counter("ml.fits_total").value == 15
+
     def test_validation(self, stability_data):
         X, y = stability_data
         with pytest.raises(ValidationError, match="repetitions"):
@@ -112,3 +119,12 @@ class TestStabilitySelection:
         X, y = stability_data
         with pytest.raises(ValidationError, match="k must be"):
             stability_selection(X, y, k=99)
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_invalid_k_rejected_before_any_fit(
+        self, stability_data, metrics, k
+    ):
+        X, y = stability_data
+        with pytest.raises(ValidationError, match="k must be"):
+            stability_selection(X, y, "RFE Linear", k=k, n_repetitions=4)
+        assert metrics.counter("ml.fits_total").value == 0

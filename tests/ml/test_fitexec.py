@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ValidationError
 from repro.ml.fitexec import (
     FitCache,
     array_digest,
@@ -26,6 +27,11 @@ def metrics():
 
 
 def _square(unit):
+    return unit * unit
+
+
+def _counted_square(unit):
+    count_fits(1)
     return unit * unit
 
 
@@ -208,3 +214,22 @@ class TestRunUnits:
         count_fits(3)
         count_fits(0)
         assert metrics.counter("ml.fits_total").value == 3
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_cache_runs_only_the_misses(self, tmp_path, metrics, jobs):
+        cache = FitCache(tmp_path)
+        cache.put("k1", 100.0)
+        values = run_units(
+            _counted_square, [1.0, 2.0, 3.0], jobs=jobs,
+            keys=["k0", "k1", "k2"], cache=cache,
+        )
+        assert values == [1.0, 100.0, 9.0]
+        assert metrics.counter("ml.fits_total").value == 2
+        reopened = FitCache(tmp_path)
+        assert [reopened.get(key) for key in ("k0", "k1", "k2")] == values
+
+    def test_cache_needs_one_key_per_unit(self, tmp_path):
+        with pytest.raises(ValidationError, match="one key per unit"):
+            run_units(
+                _square, [1.0, 2.0], keys=["k0"], cache=FitCache(tmp_path)
+            )

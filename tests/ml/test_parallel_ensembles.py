@@ -1,4 +1,4 @@
-"""Bit-identical parallel ensemble fits and the presort fast path."""
+"""Bit-identical parallel ensemble fits and compact fitted trees."""
 
 import pickle
 
@@ -99,26 +99,9 @@ class TestParallelForestIdentity:
 
 
 class TestPresortFastPath:
-    def test_presorted_tree_identical_to_plain(self, regression_data):
-        X, y = regression_data
-        plain = DecisionTreeRegressor(max_depth=4, random_state=0).fit(X, y)
-        presorted = np.argsort(X, axis=0, kind="stable")
-        fast = DecisionTreeRegressor(max_depth=4, random_state=0).fit(
-            X, y, presorted=presorted
-        )
-        _trees_identical(plain, fast)
-        np.testing.assert_array_equal(plain.predict(X), fast.predict(X))
-
-    def test_presort_shape_validated(self, regression_data):
-        X, y = regression_data
-        with pytest.raises(Exception):
-            DecisionTreeRegressor().fit(
-                X, y, presorted=np.zeros((3, 3), dtype=np.intp)
-            )
-
     def test_boosting_matches_historical_fit(self, regression_data):
-        # subsample=1.0 activates the shared presort cache; the fitted
-        # model must be indistinguishable from one built per-stage.
+        # subsample=1.0 fits every stage on all rows; the fitted model
+        # must be indistinguishable from one built per-stage.
         X, y = regression_data
         model = GradientBoostingRegressor(
             30, max_depth=3, random_state=0
@@ -146,20 +129,18 @@ class TestPresortFastPath:
 
 class TestCompactTrees:
     def test_pickle_size_independent_of_training_set(self, rng):
-        # finalize() must drop the X/y/presort references so parallel
+        # finalize() must drop the X/y references so parallel
         # workers ship compact trees back, not the training data.  A
         # depth-capped tree's pickle therefore barely grows when the
         # training set grows 16x.
         def fitted_bytes(n):
             X = rng.uniform(size=(n, 5))
             y = X[:, 0] + X[:, 1]
-            presorted = np.argsort(X, axis=0, kind="stable")
             tree = DecisionTreeRegressor(max_depth=3, random_state=0).fit(
-                X, y, presorted=presorted
+                X, y
             )
             assert tree._builder._X is None
             assert tree._builder._y is None
-            assert tree._builder._presorted is None
             return len(pickle.dumps(tree))
 
         small, large = fitted_bytes(125), fitted_bytes(2000)

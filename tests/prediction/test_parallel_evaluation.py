@@ -102,6 +102,16 @@ class TestSingleFastPath:
         )
         assert np.isfinite(score.mean_nrmse)
 
+    def test_generator_seed_draws_one_int_seed(self, dataset):
+        seed = int(np.random.default_rng(5).integers(0, 2**31))
+        drawn = evaluate_single_strategy(
+            dataset, "Regression", random_state=np.random.default_rng(5)
+        )
+        direct = evaluate_single_strategy(
+            dataset, "Regression", random_state=seed
+        )
+        assert drawn.mean_nrmse == direct.mean_nrmse
+
     def test_warm_cache_fits_nothing(self, dataset, tmp_path, metrics):
         cold = evaluate_single_strategy(
             dataset, "Regression", random_state=0,

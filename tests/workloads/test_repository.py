@@ -7,10 +7,6 @@ from repro.exceptions import RepositoryError
 from repro.workloads import (
     SKU,
     ExperimentRepository,
-    repositories_equal,
-    repository_digest,
-    result_from_dict,
-    result_to_dict,
     results_equal,
 )
 from repro.workloads.runner import ExperimentResult
@@ -162,7 +158,7 @@ def _perturbed(result, field):
 
 
 #: Every field ``results_equal`` compares; the SKU field by attribute.
-DIGEST_FIELDS = [
+EQUALITY_FIELDS = [
     "resource_series", "throughput_series", "plan_matrix",
     "workload_name", "workload_type",
     "sku.cpus", "sku.memory_gb", "sku.iops_capacity",
@@ -173,54 +169,11 @@ DIGEST_FIELDS = [
 ]
 
 
-class TestRepositoryDigest:
+class TestResultsEqual:
     def test_fields_cover_the_result(self):
-        covered = {field.split(".")[0] for field in DIGEST_FIELDS}
+        covered = {field.split(".")[0] for field in EQUALITY_FIELDS}
         assert covered == {f.name for f in dataclasses.fields(ExperimentResult)}
 
-    def test_equal_repositories_share_a_digest(self, tpcc_run):
-        copy = ExperimentRepository(
-            [result_from_dict(result_to_dict(tpcc_run))]
-        )
-        original = ExperimentRepository([tpcc_run])
-        assert repositories_equal(original, copy)
-        assert repository_digest(original) == repository_digest(copy)
-
-    def test_order_and_length_matter(self, tpcc_run):
-        other = dataclasses.replace(tpcc_run, run_index=tpcc_run.run_index + 1)
-        digests = {
-            repository_digest(ExperimentRepository(results))
-            for results in (
-                [tpcc_run], [tpcc_run, other], [other, tpcc_run], []
-            )
-        }
-        assert len(digests) == 4
-
-    @pytest.mark.parametrize("field", DIGEST_FIELDS)
-    def test_perturbing_one_field_changes_the_digest(self, tpcc_run, field):
-        changed = _perturbed(tpcc_run, field)
-        assert not results_equal(tpcc_run, changed)
-        assert repository_digest(
-            ExperimentRepository([changed])
-        ) != repository_digest(ExperimentRepository([tpcc_run]))
-
-    def test_metadata_marshal_cannot_write_is_hashed_by_repr(self, tpcc_run):
-        a, b, c = (
-            repository_digest(
-                ExperimentRepository(
-                    [dataclasses.replace(tpcc_run, metadata={"note": Opaque(n)})]
-                )
-            )
-            for n in (1, 1, 2)
-        )
-        assert a == b != c
-
-
-class Opaque:
-    """A metadata value ``marshal`` cannot write."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __repr__(self) -> str:
-        return f"Opaque({self.n})"
+    @pytest.mark.parametrize("field", EQUALITY_FIELDS)
+    def test_perturbing_one_field_breaks_equality(self, tpcc_run, field):
+        assert not results_equal(tpcc_run, _perturbed(tpcc_run, field))
