@@ -79,8 +79,14 @@ class StandardScaler(BaseEstimator):
         X = check_2d(X, "X")
         self.mean_ = X.mean(axis=0) if self.with_mean else np.zeros(X.shape[1])
         if self.with_std:
-            std = X.std(axis=0)
-            self.scale_ = np.where(std > 0, std, 1.0)
+            # Measure the spread with each column rescaled by a power of two
+            # (exact), so squared deviations of tiny columns cannot underflow;
+            # ordinary columns get the same bits as ``X.std``.  A spread below
+            # the smallest normal float has no precision left and counts as
+            # constant, like MinMaxScaler's subnormal ranges.
+            _, exponent = np.frexp(np.abs(X).max(axis=0))
+            std = np.ldexp(np.ldexp(X, -exponent).std(axis=0), exponent)
+            self.scale_ = np.where(std >= np.finfo(float).tiny, std, 1.0)
         else:
             self.scale_ = np.ones(X.shape[1])
         return self

@@ -64,6 +64,23 @@ class TestStandardScaler:
         assert np.all(np.isfinite(scaled))
         np.testing.assert_allclose(scaled[:, 0], 0.0)
 
+    def test_tiny_feature_standardized(self):
+        # Squared deviations of ~1e-160 underflow into subnormals; the
+        # spread must still be measured to full precision.
+        X = np.array([[6.03136919e-160], [0.0], [0.0], [0.0]])
+        scaled = StandardScaler().fit_transform(X)
+        np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-12)
+
+    def test_subnormal_spread_treated_as_constant(self):
+        X = np.array([[1e-320], [0.0], [0.0], [0.0]])
+        scaler = StandardScaler().fit(X)
+        np.testing.assert_array_equal(scaler.scale_, [1.0])
+        assert np.all(np.abs(scaler.transform(X)) < 1e-300)
+
+    def test_spread_matches_numpy_on_ordinary_data(self, rng):
+        X = rng.normal(5, 3, size=(100, 3)) * np.array([1e-3, 1.0, 1e6])
+        np.testing.assert_array_equal(StandardScaler().fit(X).scale_, X.std(axis=0))
+
     def test_without_mean(self, rng):
         X = rng.normal(5, 1, size=(50, 2))
         scaled = StandardScaler(with_mean=False).fit_transform(X)
