@@ -3,10 +3,11 @@
 Each builder runs a small, fully seeded slice of the pipeline and
 returns a JSON-serializable summary of numbers the paper's figures and
 tables are derived from: per-experiment feature vectors and throughput,
-the NRMSE of a seeded mini prediction pipeline, and what the paper's
+the NRMSE of a seeded mini prediction pipeline, what the paper's
 pipeline and the server answer for five seeded targets (selected
 features, similarity distances, nearest reference, predicted
-throughput, and the rank and predict bodies).  The committed JSON
+throughput, and the rank and predict bodies), and Table 4's 1-NN
+accuracy and mAP cells on a reduced corpus.  The committed JSON
 files pin those numbers; ``tests/test_golden_regression.py`` asserts the
 current engine still produces them to within 1e-12 (exactly, for
 integers and strings).
@@ -35,12 +36,22 @@ from repro.prediction.evaluation import (
     evaluate_pairwise_strategy,
 )
 from repro.serve.service import PredictionService
+from repro.similarity import (
+    RepresentationBuilder,
+    distance_matrix,
+    knn_accuracy,
+    ranking_mean_average_precision,
+)
+from repro.similarity.evaluation import representation_matrices
+from repro.similarity.measures import get_measure
 from repro.workloads import (
     SKU,
     ExperimentRunner,
     run_experiments,
     workload_by_name,
 )
+from repro.workloads.corpus import expand_subexperiments
+from repro.workloads.features import RESOURCE_FEATURES
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -210,6 +221,62 @@ def serve_bodies() -> dict:
     return {"bodies": bodies}
 
 
+#: The Table 4 golden's corpus: Table 4's workloads (TPC-C, TPC-H,
+#: Twitter) plus YCSB, an OLTP workload like TPC-C and Twitter, on the
+#: 16-CPU SKU; two 900 s runs each, as five sub-experiments (40 rows).
+TABLE4_WORKLOADS = ("tpcc", "tpch", "twitter", "ycsb")
+#: Two feature sets: every resource feature, which separates the four
+#: workloads, and a weak pair on which the norms disagree.
+TABLE4_FEATURE_SETS = (
+    RESOURCE_FEATURES,
+    ("CPU_UTILIZATION", "LOCK_WAIT_ABS"),
+)
+
+
+def table4_cells() -> dict:
+    """1-NN accuracy and mAP of Table 4 slices on a reduced corpus.
+
+    Hist-FP under L2,1, L1,1 and Frobenius on each feature set, and
+    Dependent-DTW on the MTS of the weak pair: every cell goes through
+    the full :func:`~repro.similarity.evaluation.distance_matrix`.
+    """
+    runs = run_experiments(
+        [workload_by_name(name) for name in TABLE4_WORKLOADS],
+        [SKU(cpus=16, memory_gb=32.0)],
+        terminals_for=lambda w: (1,) if w.name == "tpch" else (8,),
+        n_runs=2,
+        duration_s=900.0,
+        random_state=1,
+    )
+    corpus = expand_subexperiments(runs, n_subexperiments=5)
+    builder = RepresentationBuilder().fit(corpus)
+    labels = corpus.labels()
+    slices = [
+        ("hist", measure, features)
+        for features in TABLE4_FEATURE_SETS
+        for measure in ("L2,1", "L1,1", "Fro")
+    ]
+    slices.append(("mts", "Dependent-DTW", TABLE4_FEATURE_SETS[1]))
+    cells = []
+    for representation, measure, features in slices:
+        matrices = representation_matrices(
+            corpus, builder, representation, features=list(features)
+        )
+        D = distance_matrix(matrices, get_measure(measure))
+        cells.append(
+            {
+                "representation": representation,
+                "measure": measure,
+                "features": list(features),
+                "knn_accuracy": knn_accuracy(D, labels),
+                "mean_average_precision": ranking_mean_average_precision(
+                    D, labels
+                ),
+            }
+        )
+    return {"n_experiments": len(corpus), "cells": cells}
+
+
 #: Golden file name -> builder.
 BUILDERS = {
     "tpcc_run_summary.json": tpcc_run_summary,
@@ -217,6 +284,7 @@ BUILDERS = {
     "mini_pipeline_nrmse.json": mini_pipeline_nrmse,
     "pipeline_predictions.json": pipeline_predictions,
     "serve_bodies.json": serve_bodies,
+    "table4_cells.json": table4_cells,
 }
 
 
