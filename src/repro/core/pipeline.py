@@ -45,8 +45,7 @@ from repro.prediction.context import PairwiseScalingModel, SingleScalingModel
 from repro.prediction.evaluation import build_scaling_dataset
 from repro.similarity.distcache import DistanceCache
 from repro.similarity.evaluation import (
-    distance_matrix,
-    normalized_distances,
+    normalized_cross_block,
     representation_matrices,
 )
 from repro.similarity.measures import get_measure
@@ -57,6 +56,11 @@ from repro.workloads.features import ALL_FEATURES, PLAN_FEATURES, RESOURCE_FEATU
 from repro.workloads.repository import ExperimentRepository, repositories_equal
 from repro.workloads.sampling import augmented_throughputs
 from repro.workloads.sku import SKU
+
+# Nothing here calls it: perfbench's traced ``predict`` run patches this
+# name in instrument(), until the stage clock on ROADMAP.md replaces its
+# patch lists.
+from repro.similarity.evaluation import distance_matrix  # noqa: F401
 
 logger = get_logger(__name__)
 
@@ -299,23 +303,25 @@ class WorkloadPredictionPipeline:
                 combined, builder, self.config.representation,
                 features=features,
             )
-            D = normalized_distances(
-                distance_matrix(
-                    matrices,
-                    get_measure(self.config.measure),
-                    jobs=self.config.jobs,
-                    cache=self.distance_cache,
-                )
-            )
-            # The target is the trailing rows of ``combined`` and each
+            # The target is the trailing rows of ``combined``, so the
+            # cross block's rows are the target's runs and each
             # reference's columns are its own runs, even when the target
             # shares a reference's workload name.
             labels = np.asarray(references.labels())
-            target_rows = np.arange(len(references), len(combined))
+            cross = normalized_cross_block(
+                matrices,
+                labels,
+                get_measure(self.config.measure),
+                jobs=self.config.jobs,
+                cache=self.distance_cache,
+            )
+            target_rows = np.arange(len(target))
             distances: dict[str, float] = {}
             for reference in references.workload_names():
                 columns = np.flatnonzero(labels == reference)
-                block = D[np.ix_(target_rows, columns)]
+                # A C-ordered block, so ``mean`` sums in the same order
+                # as it did over the full matrix.
+                block = cross[np.ix_(target_rows, columns)]
                 distances[reference] = float(block.mean())
         get_metrics().counter("similarity.rankings_total").inc()
         ranking = SimilarityRanking(target=target_name, distances=distances)

@@ -28,7 +28,7 @@ from repro.obs.tracing import span
 from repro.similarity.distcache import DistanceCache, matrix_digest, pair_key
 from repro.similarity.dtw import _dtw_from_cost, batch_dependent_costs
 from repro.similarity.measures import MeasureSpec, _dtw_dependent
-from repro.similarity.norms import BATCHED_NORMS
+from repro.similarity.norms import BATCHED_NORMS, DIFFERENCE_NORMS
 from repro.similarity.representations import RepresentationBuilder
 from repro.utils.parallel import chunk_bounds, resolve_jobs
 
@@ -440,6 +440,128 @@ def normalized_distances(D: np.ndarray) -> np.ndarray:
     off_diag = D[~np.eye(D.shape[0], dtype=bool)]
     peak = float(off_diag.max()) if off_diag.size else 0.0
     return D / peak if peak > 0 else D.copy()
+
+
+def _triangle_bounds(
+    matrices: list[np.ndarray], measure: MeasureSpec, pivot_rows: np.ndarray
+) -> np.ndarray:
+    """Upper bounds on every pair's computed distance; ``+inf`` if none.
+
+    ``pivot_rows[k, i]`` is the computed distance from pivot ``k`` to
+    matrix ``i``; entry ``(i, j)`` of the result bounds the computed
+    ``d(i, j)``.  For a norm of the difference over matrices of one
+    shape with ``m`` entries, a computed distance ``d~`` is within
+    ``delta * d + tau`` of the exact ``d``: ``delta = gamma(m + 4)``
+    (``gamma(k) = k u / (1 - k u)``, ``u = 2**-53``) covers the rounding
+    of the subtraction, the squares, at most ``m - 1`` additions in any
+    order and the square root; ``tau = m * 2**-537`` covers squares that
+    underflow (at most ``2**-1075`` each, which the square root raises
+    to at most ``sqrt(m * 2**-1075)``).  The exact triangle inequality
+    through a pivot ``p`` then gives, while ``delta <= 1/6`` (``m``
+    below 10**15)::
+
+        d~(i, j) <= (1 + 3 delta) (d~(i, p) + d~(p, j)) + 4 tau
+
+    and ``(d~(i, p) + d~(p, j)) * (1 + 4 delta) + 5 tau``, computed in
+    floats, is at least the right-hand side: ``delta >= 5u`` leaves room
+    for the roundings of that sum, the factor and the product, and the
+    fifth ``tau`` for the last addition.  Other measures, and mixed
+    shapes (which :func:`_prepare_pair` truncates pair by pair), get no
+    bound.
+    """
+    n = len(matrices)
+    if measure.func not in DIFFERENCE_NORMS or len(
+        {M.shape for M in matrices}
+    ) != 1:
+        return np.full((n, n), np.inf)
+    through_pivot = pivot_rows[0][:, None] + pivot_rows[0][None, :]
+    for row in pivot_rows[1:]:
+        # ``minimum`` propagates NaN, so a NaN distance bounds nothing.
+        np.minimum(
+            through_pivot, row[:, None] + row[None, :], out=through_pivot
+        )
+    size = matrices[0].size
+    rounding = (size + 4) * np.finfo(float).eps / 2
+    delta = rounding / (1 - rounding)
+    return through_pivot * (1 + 4 * delta) + 5 * size * 2.0**-537
+
+
+def normalized_cross_block(
+    matrices: list[np.ndarray],
+    reference_labels,
+    measure: MeasureSpec,
+    *,
+    jobs: int | None = None,
+    cache: "DistanceCache | str | None" = None,
+) -> np.ndarray:
+    """Target-by-reference block of the normalized distance matrix.
+
+    The first ``len(reference_labels)`` matrices are the references
+    (``reference_labels`` names each one's workload), the rest are the
+    target.  The result equals ``normalized_distances(distance_matrix(
+    matrices, measure))[n_references:, :n_references]`` bit for bit, as
+    a C-ordered array, from fewer pairs.  Each pair's value is a pure
+    function of the pair, so only the normalization peak needs the
+    other pairs:
+
+    1. one pair-engine call computes the cross block and every pair
+       that touches a pivot (the first run of each reference workload
+       and the first target row), lower index first as in
+       :func:`distance_matrix`;
+    2. every other pair is bounded through the pivots by the triangle
+       inequality (:func:`_triangle_bounds`);
+    3. a second call computes the pairs whose bound reaches the peak of
+       the first; the rest are strictly below it and cannot be the peak.
+
+    A measure that is not a norm of the difference, or matrices of mixed
+    shape, bound nothing, so the second call computes the rest of the
+    matrix.  ``jobs`` and ``cache`` act as in :func:`distance_matrix`;
+    skipped pairs are counted in ``similarity.pairs_pruned_total``.
+    """
+    labels = np.asarray(reference_labels)
+    n, n_references = len(matrices), len(labels)
+    n_targets = n - n_references
+    if n_references == 0 or n_targets < 1:
+        raise ValidationError(
+            "normalized_cross_block needs references and target matrices"
+        )
+    n_workers = resolve_jobs(jobs)
+    cache = DistanceCache.coerce(cache)
+    digests = None if cache is None else [matrix_digest(M) for M in matrices]
+    _, firsts = np.unique(labels, return_index=True)
+    pivots = np.append(np.sort(firsts), n_references)
+    computed = np.zeros((n, n), dtype=bool)
+    computed[:n_references, n_references:] = True
+    computed[pivots] = True
+    computed[:, pivots] = True
+    first = np.argwhere(np.triu(computed, 1))
+    rest = np.triu(~computed, 1)
+    with span(
+        "similarity.normalized_cross_block",
+        attrs={
+            "n_references": n_references,
+            "n_targets": n_targets,
+            "measure": measure.name,
+            "workers": n_workers,
+        },
+    ):
+        known = _pair_distances(
+            matrices, first, measure, n_workers, cache, digests
+        )
+        D = np.zeros((n, n))
+        rows, cols = first.T
+        D[rows, cols] = D[cols, rows] = known
+        bounds = _triangle_bounds(matrices, measure, D[pivots])
+        needed = rest & ~(bounds < known.max())
+        unbounded = _pair_distances(
+            matrices, np.argwhere(needed), measure, n_workers, cache, digests
+        )
+        peak = float(np.max(np.append(known, unbounded)))
+    pruned = int(np.count_nonzero(rest)) - int(np.count_nonzero(needed))
+    if pruned:
+        get_metrics().counter("similarity.pairs_pruned_total").inc(pruned)
+    block = D[n_references:, :n_references]
+    return block / peak if peak > 0 else block.copy()
 
 
 def knn_accuracy(D: np.ndarray, labels) -> float:

@@ -139,6 +139,10 @@ NORMS = {
     "Corr": correlation_distance,
 }
 
+#: Distances that are a norm of ``A - B``, so they obey the triangle
+#: inequality ``d(A, C) <= d(A, B) + d(B, C)``.
+DIFFERENCE_NORMS = frozenset({l21_distance, l11_distance, frobenius_distance})
+
 #: Stacked forms, keyed by the scalar function each one reproduces
 #: bit for bit on every C-contiguous slice.
 BATCHED_NORMS = {

@@ -6,6 +6,13 @@ import pytest
 from repro.core import PipelineConfig, WorkloadPredictionPipeline
 from repro.exceptions import PipelineError, ValidationError
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.similarity.evaluation import (
+    distance_matrix,
+    normalized_distances,
+    representation_matrices,
+)
+from repro.similarity.measures import get_measure
+from repro.similarity.representations import RepresentationBuilder
 from repro.workloads import SKU, run_experiments, workload_by_name
 from repro.workloads.corpus import expand_subexperiments
 from repro.workloads.features import PLAN_FEATURES
@@ -99,6 +106,38 @@ class TestSimilarityStage:
             for runs in (target, renamed)
         )
         assert named.similarity.distances == unnamed.similarity.distances
+
+    def test_golden_rank_distances_are_full_matrix_block_means(self):
+        """Each golden target's distances equal, with ``==``, the block
+        means of the full normalized matrix: the 1e-12 goldens cannot
+        see a last-bit drift such as a block summed in Fortran order."""
+        pipeline = WorkloadPredictionPipeline()
+        config = pipeline.config
+        catalog, _ = pipeline.reference_catalog(prediction_references())
+        references = catalog.expanded(PREDICTION_SOURCE, 10)
+        features = catalog.features(PREDICTION_SOURCE, 10)
+        labels = np.asarray(references.labels())
+        for target in prediction_targets():
+            runs = expand_subexperiments(target)
+            ranking = pipeline.rank_similarity(references, runs, features)
+            combined = ExperimentRepository(list(references) + list(runs))
+            matrices = representation_matrices(
+                combined,
+                RepresentationBuilder(features).fit(combined),
+                config.representation,
+                features=features,
+            )
+            D = normalized_distances(
+                distance_matrix(matrices, get_measure(config.measure))
+            )
+            target_rows = np.arange(len(references), len(combined))
+            expected = {
+                name: float(
+                    D[np.ix_(target_rows, np.flatnonzero(labels == name))].mean()
+                )
+                for name in references.workload_names()
+            }
+            assert ranking.distances == expected
 
     def test_target_must_be_single_workload(self, two_sku_references):
         pipeline = WorkloadPredictionPipeline()

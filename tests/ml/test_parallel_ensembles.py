@@ -98,7 +98,7 @@ class TestParallelForestIdentity:
             _trees_identical(tree_s, tree_w)
 
 
-class TestPresortFastPath:
+class TestBoostingStages:
     def test_boosting_matches_historical_fit(self, regression_data):
         # subsample=1.0 fits every stage on all rows; the fitted model
         # must be indistinguishable from one built per-stage.

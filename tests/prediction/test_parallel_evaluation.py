@@ -96,7 +96,7 @@ class TestSingleFastPath:
         assert scores[0].mean_nrmse == scores[1].mean_nrmse
         assert scores[0].mean_nrmse == scores[2].mean_nrmse
 
-    def test_generator_seed_takes_legacy_path(self, dataset):
+    def test_generator_seed_scores_are_finite(self, dataset):
         score = evaluate_single_strategy(
             dataset, "Regression", random_state=np.random.default_rng(0)
         )
