@@ -319,8 +319,9 @@ class WorkloadPredictionPipeline:
             distances: dict[str, float] = {}
             for reference in references.workload_names():
                 columns = np.flatnonzero(labels == reference)
-                # A C-ordered block, so ``mean`` sums in the same order
-                # as it did over the full matrix.
+                # ``np.ix_`` gives a C-ordered block: ``mean`` sums in
+                # memory order, and a Fortran-ordered block would round
+                # differently from the full matrix's.
                 block = cross[np.ix_(target_rows, columns)]
                 distances[reference] = float(block.mean())
         get_metrics().counter("similarity.rankings_total").inc()
