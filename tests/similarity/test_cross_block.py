@@ -32,32 +32,35 @@ from repro.workloads.repository import ExperimentRepository
 
 NORM_MEASURES = ("L2,1", "L1,1", "Fro")
 
-#: Per measure: a pivot ``p``, a far point ``b`` and the last entry of
-#: a target ``t`` equal to ``b`` elsewhere, found by search so that the
-#: computed ``d(0, p) + d(p, b) < d(0, t) < d(0, b)`` (one-row matrices).
-TIGHT_TRIANGLES = {
-    "L1,1": (
-        [0.5063372727535784, 0.14089025192250473, 0.7864650423060694,
-         0.8765224443391991, 1.1094637706089843, 0.2824867848874739],
-        [0.6959675990335117, 1.2716707511824148, 0.8743645195052954,
-         1.01424339625471, 1.7259844217562244, 1.097241223169806],
-        1.0972412231698059,
-    ),
-    "L2,1": (
-        [0.2586382973953655, 0.3269967408599907, 0.40533472063924686,
-         0.7027290147414866, 0.19398046249402878, 0.9660412913865353],
-        [0.5659940168485588, 0.6588005494705729, 0.5123204617826931,
-         1.69106048257692, 1.069538855917846, 1.5211841479439252],
-        1.5211841479439248,
-    ),
-    "Fro": (
-        [1.127591607393385, 1.0254190017361549, 1.0758843183023001,
-         0.5800466428507024, 0.7455765386416529, 0.7294932288938522],
-        [1.9589416875776937, 1.7814393230353884, 1.8691116786560156,
-         1.0077030921207588, 1.2952747725759486, 1.2673335696327808],
-        1.2673335696327799,
-    ),
-}
+
+def tight_triangle(measure, scale, seed=0, max_trials=20000):
+    """One-row matrices ``p``, ``b`` and ``t`` whose computed distances
+    satisfy ``d(0, p) + d(p, b) < d(0, t) < d(0, b)``.
+
+    Found by a seeded search on the running platform, so the
+    inequalities hold whatever order its BLAS sums the Frobenius dot
+    product in.  Entries are of order ``scale``.  ``p`` lies on the
+    segment from 0 to ``b`` (on the line, for Frobenius), and ``t`` is
+    ``b`` with its last entry lowered by bisection.
+    """
+    rng = np.random.default_rng(seed)
+    zero = np.zeros((1, 6))
+    for _ in range(max_trials):
+        b = rng.uniform(0.5, 2.0, (1, 6)) * scale
+        p = b * rng.uniform(0.1, 0.9, 1 if measure.name == "Fro" else (1, 6))
+        bound = measure(zero, p) + measure(p, b)
+        peak = measure(zero, b)
+        t, low, high = b.copy(), 0.0, b[0, -1]
+        for _ in range(80):
+            t[0, -1] = (low + high) / 2
+            d_t = measure(zero, t)
+            if bound < d_t < peak:
+                return p, b, t
+            if d_t >= peak:
+                high = t[0, -1]
+            else:
+                low = t[0, -1]
+    raise AssertionError("no tight triangle found")
 
 
 def full_block(matrices, n_references, measure):
@@ -175,22 +178,20 @@ class TestExactness:
         assert computed + pruned == n_pairs(matrices)
         assert_full_block(block, matrices, labels, measure)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-530])
     @pytest.mark.parametrize("name", NORM_MEASURES)
     def test_slack_covers_a_triangle_that_rounding_breaks(
-        self, name, engine_calls
+        self, name, scale, engine_calls
     ):
-        # References P (the pivot), A = 0 and B, and a target T one step
-        # from B: in floats d(A, P) + d(P, B) is two ulps below d(A, B)
-        # and d(A, T), the peak of the first call, one ulp below, so
-        # only the slack sends the true peak (A, B) to the second call.
-        p, b, t_last = TIGHT_TRIANGLES[name]
-        t = [*b[:-1], t_last]
-        matrices = [np.array([row]) for row in (p, [0.0] * len(b), b, t)]
+        # References P (the pivot), A = 0 and B, and a target T near B:
+        # in floats d(A, P) + d(P, B) is below d(A, T), the peak of the
+        # first call, which is below d(A, B), so only the slack sends the
+        # true peak (A, B) to the second call.  At 2**-530 the squares
+        # are subnormal and keep about 14 bits: only the absolute term
+        # of the slack covers that.
         measure = get_measure(name)
-        d_ab = measure(matrices[1], matrices[2])
-        assert measure(matrices[1], matrices[0]) + measure(
-            matrices[0], matrices[2]
-        ) < measure(matrices[1], matrices[3]) < d_ab
+        p, b, t = tight_triangle(measure, scale)
+        matrices = [p, np.zeros_like(b), b, t]
         block = normalized_cross_block(matrices, ["r"] * 3, measure)
         assert engine_calls[1] == [(1, 2)]
         assert_full_block(block, matrices, ["r"] * 3, measure)
