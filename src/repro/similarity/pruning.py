@@ -32,7 +32,12 @@ from repro.similarity.dtw import (
     lb_kim,
     multivariate_dtw,
 )
-from repro.similarity.evaluation import _cross_pairs, _pair_values
+from repro.similarity.evaluation import (
+    _cross_pairs,
+    _pair_values,
+    _stacked_distances,
+    _stacked_form,
+)
 from repro.similarity.measures import MeasureSpec, _dtw_dependent
 
 
@@ -114,10 +119,10 @@ def _exact_block(
 ) -> np.ndarray:
     """Exact distances of the query x member block.
 
-    Dependent-DTW runs pair by pair; every other measure goes through
-    the distance engine's pair evaluation, which is one contraction of
-    the query stack against the member stack whenever the measure has a
-    stacked norm form and the shapes allow it.
+    Dependent-DTW runs pair by pair.  A measure with a stacked norm form
+    over these matrices contracts the query stack against the member
+    stack in process, as the distance engine does; every other measure
+    goes through the engine's pair evaluation.
     """
     if measure.func is _dtw_dependent:
         return np.array(
@@ -125,11 +130,13 @@ def _exact_block(
              for A in query_matrices]
         )
     n_queries = len(query_matrices)
-    values = _pair_values(
-        list(query_matrices) + list(members),
-        _cross_pairs(n_queries, len(members), n_queries),
-        measure,
-    )
+    matrices = list(query_matrices) + list(members)
+    pairs = _cross_pairs(n_queries, len(members), n_queries)
+    batched = _stacked_form(matrices, measure)
+    if batched is None:
+        values = _pair_values(matrices, pairs, measure)
+    else:
+        values = _stacked_distances(batched, matrices, pairs)
     return values.reshape(n_queries, len(members))
 
 
