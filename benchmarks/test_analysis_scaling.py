@@ -112,7 +112,8 @@ def test_parallel_distance_engine(analysis_matrices):
 def test_distance_cache_cold_vs_warm(analysis_matrices, tmp_path_factory):
     """A warm cache recomputes zero pairs and returns the same matrix."""
     matrices, _ = analysis_matrices
-    measure = get_measure("L2,1")
+    # L2,1 and L1,1 skip the distance cache; Fro still reads it.
+    measure = get_measure("Fro")
     cache_dir = tmp_path_factory.mktemp("distcache")
     previous = set_metrics(MetricsRegistry())
     try:
@@ -132,7 +133,7 @@ def test_distance_cache_cold_vs_warm(analysis_matrices, tmp_path_factory):
     finally:
         set_metrics(previous)
 
-    print_header("Analysis path: distance cache cold vs warm (L2,1)")
+    print_header("Analysis path: distance cache cold vs warm (Fro)")
     print(f"cold          : {cold_s:7.3f}s")
     print(f"warm          : {warm_s:7.3f}s")
     print(f"warm computes : {int(warm_computed)} (want 0)")

@@ -44,6 +44,8 @@ class PipelineConfig:
     distance_cache:
         Directory for the content-addressed pairwise-distance cache
         (kept as a path string so configs serialize into manifests).
+        L2,1 and L1,1, the default measure included, skip it: they
+        compute faster than a warm cache answers.
     fit_cache:
         Directory for the content-addressed fit cache
         (:class:`repro.ml.fitexec.FitCache`) behind the evaluation fast

@@ -5,7 +5,9 @@ measure over largely overlapping sets of representation matrices — a
 perturbation sweep shares every clean-vs-clean pair across levels, and a
 warm benchmark session shares everything.  Each computed distance is a
 pure function of the two matrices and the measure, so it can be cached
-under a content address and never computed twice.
+under a content address and never computed twice.  L2,1 and L1,1 over
+matrices of one shape never use it: the pair engine computes them in
+process faster than a warm cache answers.
 
 Keys
 ----

@@ -54,7 +54,9 @@ WORKER = textwrap.dedent(
         random_state=1,
         cache=f"{cache_root}/corpus",
     )
+    # L2,1 and L1,1 skip the distance cache; Fro still writes it.
     config = PipelineConfig(
+        measure="Fro",
         distance_cache=f"{cache_root}/distances",
         fit_cache=f"{cache_root}/fits",
     )

@@ -283,8 +283,9 @@ class TestEngine:
         assert counted(metrics, "similarity.pairs_computed") == 2 * serial_pairs
 
     def test_warm_cache_computes_nothing(self, hist, tmp_path):
+        # L2,1 and L1,1 skip the cache; Fro still reads it.
         matrices, labels = hist
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         uncached = normalized_cross_block(matrices, labels, measure)
         cold = normalized_cross_block(
             matrices, labels, measure, cache=DistanceCache(tmp_path)

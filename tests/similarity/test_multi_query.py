@@ -75,10 +75,12 @@ class TestBitIdentity:
 
 
 class TestCacheInterplay:
+    """On Fro: L2,1 and L1,1 skip the cache."""
+
     def test_warm_cache_returns_identical_blocks(
         self, cols, query_pool, tmp_path
     ):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         cache = DistanceCache(tmp_path / "dist")
         queries = query_pool[:3]
         cold = multi_query_cross_distances(
@@ -91,7 +93,7 @@ class TestCacheInterplay:
             assert np.array_equal(a, b)
 
     def test_cache_shared_with_serial_path(self, cols, query_pool, tmp_path):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         cache = DistanceCache(tmp_path / "dist")
         queries = query_pool[:2]
         # Serial path populates; batched path must read the same keys.
@@ -106,7 +108,7 @@ class TestCacheInterplay:
             )
 
     def test_precomputed_col_digests_match(self, cols, query_pool, tmp_path):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         digests = [matrix_digest(M) for M in cols]
         cache_a = DistanceCache(tmp_path / "a")
         cache_b = DistanceCache(tmp_path / "b")

@@ -87,10 +87,12 @@ class TestBitIdenticalParallelism:
 
 
 class TestDistanceCacheIntegration:
+    """On Fro: L2,1 and L1,1 skip the cache."""
+
     def test_warm_cache_recomputes_zero_pairs(
         self, hist_matrices, tmp_path, metrics
     ):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         cold = distance_matrix(
             hist_matrices, measure, cache=DistanceCache(tmp_path)
         )
@@ -116,7 +118,7 @@ class TestDistanceCacheIntegration:
     def test_partial_overlap_computes_only_new_pairs(
         self, hist_matrices, tmp_path, metrics
     ):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         cache = DistanceCache(tmp_path)
         base = hist_matrices[:5]
         distance_matrix(base, measure, cache=cache)
@@ -129,7 +131,7 @@ class TestDistanceCacheIntegration:
     def test_corrupt_cache_is_a_miss_not_an_error(
         self, hist_matrices, tmp_path, metrics
     ):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         plain = distance_matrix(hist_matrices, measure)
         (tmp_path / "distances.jsonl").write_text("garbage\n{torn")
         recovered = distance_matrix(
@@ -139,10 +141,12 @@ class TestDistanceCacheIntegration:
 
 
 class TestRobustnessSweepCaching:
+    """The cached sweep runs Fro: L2,1 and L1,1 skip the cache."""
+
     def test_repeated_sweep_recomputes_zero_pairs(
         self, mini_corpus, builder, tmp_path, metrics
     ):
-        measure = get_measure("L2,1")
+        measure = get_measure("Fro")
         first = robustness_under_noise(
             mini_corpus, builder, "hist", measure,
             noise_levels=(0.1,), random_state=3, cache=str(tmp_path),

@@ -66,11 +66,13 @@ def test_golden_files_have_no_strays():
 
 
 def test_pipeline_golden_with_cold_and_warm_caches(tmp_path):
-    """The distance and fit caches change no pipeline answer.
+    """The caches change no pipeline answer.
 
-    The cold run fills both caches, the warm run (a fresh pipeline that
-    reads them back from disk) answers from them; both must equal each
-    other exactly and the golden within the usual tolerance.
+    The cold run fills the fit cache, the warm run (a fresh pipeline
+    that reads it back from disk) answers from it; both must equal each
+    other exactly and the golden within the usual tolerance.  The
+    golden's L2,1 ranking computes in process and never looks a pair up
+    in the distance cache.
     """
     expected = json.loads((GOLDEN_DIR / "pipeline_predictions.json").read_text())
     config = PipelineConfig(
@@ -84,8 +86,8 @@ def test_pipeline_golden_with_cold_and_warm_caches(tmp_path):
         warm = pipeline_predictions(config)
     finally:
         set_metrics(previous)
-    assert registry.counter("distance_cache.hits_total").value > 0
-    assert registry.counter("distance_cache.misses_total").value == 0
+    assert not [name for name in registry.snapshot()
+                if name.startswith("distance_cache.")]
     assert registry.counter("fit_cache.hits_total").value > 0
     assert registry.counter("fit_cache.misses_total").value == 0
     assert warm == cold
