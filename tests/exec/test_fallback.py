@@ -83,7 +83,8 @@ class TestSimilarityFallback:
     def test_serial_fallback_with_metric(self, no_pool, fresh_metrics):
         rng = np.random.default_rng(5)
         matrices = [rng.normal(size=(12, 3)) for _ in range(8)]
-        measure = get_measure("L2,1")
+        # L2,1 and L1,1 run in process; Fro still asks for a pool.
+        measure = get_measure("Fro")
         baseline = distance_matrix(matrices, measure)
         D = distance_matrix(matrices, measure, jobs=2)
         assert _fallbacks(fresh_metrics, "similarity") == 1
