@@ -53,7 +53,11 @@ from repro.similarity.representations import RepresentationBuilder
 from repro.utils.rng import as_generator
 from repro.workloads.corpus import expand_subexperiments
 from repro.workloads.features import ALL_FEATURES, PLAN_FEATURES, RESOURCE_FEATURES
-from repro.workloads.repository import ExperimentRepository, repositories_equal
+from repro.workloads.repository import (
+    ExperimentRepository,
+    ensure_finite,
+    repositories_equal,
+)
 from repro.workloads.sampling import augmented_throughputs
 from repro.workloads.sku import SKU
 
@@ -109,10 +113,12 @@ class ReferenceCatalog:
 
     The catalog keeps its own copy of the corpus it was built for, so
     what it builds later cannot drift from that copy when the caller's
-    objects change.  Entries are built outside the lock and the first
-    writer wins, so concurrent server threads may fit a model twice but
-    all use one.  Misses call the pipeline's ``select_features`` and
-    ``_reference_scaling_model``.
+    objects change.  Building one checks every reference for non-finite
+    values (:func:`~repro.workloads.repository.ensure_finite`), once per
+    corpus instead of once per call.  Entries are built outside the
+    lock and the first writer wins, so concurrent server threads may
+    fit a model twice but all use one.  Misses call the pipeline's
+    ``select_features`` and ``_reference_scaling_model``.
     """
 
     def __init__(
@@ -120,6 +126,8 @@ class ReferenceCatalog:
         pipeline: "WorkloadPredictionPipeline",
         references: ExperimentRepository,
     ):
+        for result in references:
+            ensure_finite(result)
         self.pipeline = pipeline
         self.references = ExperimentRepository(copy.deepcopy(list(references)))
         self._memo: dict = {}
@@ -419,7 +427,13 @@ class WorkloadPredictionPipeline:
         target_validation:
             Optional target-workload experiments on the target SKU, used
             only to score the prediction.
+
+        A non-finite value in the target's runs, validation included,
+        is a :class:`~repro.exceptions.RepositoryError`; the references
+        are checked when their catalog is built.
         """
+        for run in [*target_source, *(target_validation or [])]:
+            ensure_finite(run)
         for role, sku in (("source", source_sku), ("target", target_sku)):
             if len(references.by_sku(sku)) == 0:
                 raise PipelineError(

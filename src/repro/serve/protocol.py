@@ -27,7 +27,11 @@ import hashlib
 import json
 
 from repro.exceptions import ServeError
-from repro.workloads.repository import result_from_dict, result_to_dict
+from repro.workloads.repository import (
+    ensure_finite,
+    result_from_dict,
+    result_to_dict,
+)
 
 #: Bumped whenever the request/response schema changes shape; part of
 #: every request digest, so a schema change invalidates cached answers.
@@ -97,7 +101,8 @@ def decode_experiments(entries, *, what: str) -> list:
     """Decode a request's experiment list (the repository wire schema).
 
     ``entries`` must be a non-empty list of experiment dicts exactly as
-    :func:`repro.workloads.repository.result_to_dict` writes them.
+    :func:`repro.workloads.repository.result_to_dict` writes them, with
+    finite values only (:func:`~repro.workloads.repository.ensure_finite`).
     Raises :class:`~repro.exceptions.ServeError` naming the offending
     field so clients get a 400 with a reason, not a stack trace.
     """
@@ -108,7 +113,9 @@ def decode_experiments(entries, *, what: str) -> list:
         if not isinstance(entry, dict):
             raise ServeError(f"{what}[{position}] must be an object")
         try:
-            results.append(result_from_dict(entry))
+            result = result_from_dict(entry)
+            ensure_finite(result)
+            results.append(result)
         except Exception as exc:
             raise ServeError(f"{what}[{position}] is malformed: {exc}")
     return results

@@ -49,7 +49,7 @@ from repro.similarity.pruning import nearest_group
 from repro.similarity.representations import RepresentationBuilder
 from repro.utils.rng import as_generator
 from repro.workloads.corpus import expand_subexperiments
-from repro.workloads.repository import ExperimentRepository
+from repro.workloads.repository import ExperimentRepository, ensure_finite
 
 # Nothing here calls it: perfbench's traced serving run patches this
 # name, until the stage clock on ROADMAP.md replaces its patch lists.
@@ -145,11 +145,15 @@ class PredictionService:
         This is the per-request half of ranking — separated from the
         distance evaluation so the batch executor can validate each
         admitted request individually (a malformed target fails alone)
-        before stitching the survivors into one multi-query fan-out.
+        before stitching the survivors into one multi-query fan-out.  A
+        non-finite value in the target is a
+        :class:`~repro.exceptions.RepositoryError`.
         """
         self._require_warm()
         if len(target) == 0:
             raise ServeError("target must contain at least one experiment")
+        for run in target:
+            ensure_finite(run)
         target_names = {r.workload_name for r in target}
         if len(target_names) != 1:
             raise ServeError(

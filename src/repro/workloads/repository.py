@@ -13,6 +13,7 @@ order of magnitude smaller and faster to parse than the row-by-row JSON.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -31,17 +32,25 @@ ARRAY_FIELDS = ("resource_series", "throughput_series", "plan_matrix")
 
 
 def ensure_finite(result: ExperimentResult) -> None:
-    """Reject results carrying NaN/Inf before they reach disk.
+    """Reject a result carrying NaN or infinity.
 
-    Non-finite values in a persisted corpus poison every downstream
-    statistic silently (means, distances, CV scores), so both persistence
-    formats and the corpus cache refuse to store them.
+    Non-finite telemetry poisons every downstream statistic silently
+    (feature ranges, Hist-FP counts, distances, CV scores), so it is
+    refused wherever results enter or leave: both persistence formats
+    and their loaders, the corpus cache, the server's request decoder,
+    and the prediction entry points.  The error names the experiment,
+    the field and the first bad position.
     """
     for name in ARRAY_FIELDS:
-        if not np.all(np.isfinite(getattr(result, name))):
+        values = getattr(result, name)
+        finite = np.isfinite(values)
+        if not finite.all():
+            # ``argmin`` of a boolean array is its first False entry.
+            position = np.unravel_index(np.argmin(finite), values.shape)
+            index = ", ".join(str(int(k)) for k in position)
             raise RepositoryError(
-                f"experiment {result.experiment_id}: non-finite values "
-                f"in {name}"
+                f"experiment {result.experiment_id}: non-finite value "
+                f"{float(values[position])} in {name}[{index}]"
             )
     scalars = {
         "throughput": result.throughput,
@@ -50,9 +59,10 @@ def ensure_finite(result: ExperimentResult) -> None:
         **{f"weight[{k}]": v for k, v in result.per_txn_weights.items()},
     }
     for name, value in scalars.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise RepositoryError(
-                f"experiment {result.experiment_id}: non-finite {name}"
+                f"experiment {result.experiment_id}: non-finite {name} "
+                f"({float(value)})"
             )
 
 
@@ -224,7 +234,11 @@ class ExperimentRepository:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentRepository":
-        """Load a repository previously written by :meth:`save`."""
+        """Load a repository previously written by :meth:`save`.
+
+        A non-finite value is a :class:`RepositoryError`
+        (:func:`ensure_finite`), as it is on save.
+        """
         path = Path(path)
         try:
             payload = json.loads(path.read_text())
@@ -235,6 +249,8 @@ class ExperimentRepository:
         if not isinstance(payload, dict) or "experiments" not in payload:
             raise RepositoryError(f"{path} is not an experiment repository file")
         results = [_result_from_dict(entry) for entry in payload["experiments"]]
+        for result in results:
+            ensure_finite(result)
         get_metrics().counter("repository.experiments_loaded_total").inc(
             len(results)
         )
@@ -279,7 +295,8 @@ class ExperimentRepository:
 
     @classmethod
     def load_npz(cls, path: str | Path) -> "ExperimentRepository":
-        """Load a repository previously written by :meth:`save_npz`."""
+        """Load a repository previously written by :meth:`save_npz`,
+        refusing non-finite values as :meth:`load` does."""
         path = Path(path)
         try:
             with np.load(path, allow_pickle=False) as archive:
@@ -299,6 +316,8 @@ class ExperimentRepository:
             raise RepositoryError(f"cannot read {path}: {exc}") from exc
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise RepositoryError(f"{path} is corrupt: {exc}") from exc
+        for result in results:
+            ensure_finite(result)
         get_metrics().counter("repository.experiments_loaded_total").inc(
             len(results)
         )

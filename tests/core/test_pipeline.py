@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core import PipelineConfig, WorkloadPredictionPipeline
-from repro.exceptions import PipelineError, ValidationError
+from repro.exceptions import PipelineError, RepositoryError, ValidationError
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.similarity.evaluation import (
     distance_matrix,
@@ -16,7 +18,8 @@ from repro.similarity.representations import RepresentationBuilder
 from repro.workloads import SKU, run_experiments, workload_by_name
 from repro.workloads.corpus import expand_subexperiments
 from repro.workloads.features import PLAN_FEATURES
-from repro.workloads.repository import ExperimentRepository
+from repro.workloads.repository import ExperimentRepository, ensure_finite
+from repro.workloads.runner import clone_with
 from tests.golden.builders import (
     PREDICTION_QUERIES,
     PREDICTION_SOURCE,
@@ -240,6 +243,69 @@ class TestEndToEnd:
         finally:
             set_metrics(previous)
         assert "features.selector.fit_seconds" not in registry
+
+
+def poisoned(runs, value):
+    """``runs`` with resource sample ``[40, 2]`` of the second run set to
+    ``value``, and the error that names it."""
+    runs = list(runs)
+    series = runs[1].resource_series.copy()
+    series[40:, 2] = value
+    runs[1] = clone_with(runs[1], resource_series=series)
+    message = (
+        f"experiment {runs[1].experiment_id}: non-finite value "
+        f"{float(value)} in resource_series[40, 2]"
+    )
+    return ExperimentRepository(runs), re.escape(message)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+)
+
+
+class TestNonFiniteInput:
+    @NON_FINITE
+    def test_target_is_rejected(
+        self, two_sku_references, ycsb_source, ycsb_target, value
+    ):
+        pipeline = WorkloadPredictionPipeline()
+        target, message = poisoned(ycsb_source, value)
+        with pytest.raises(RepositoryError, match=message):
+            pipeline.predict_scaling(two_sku_references, target, SOURCE, TARGET)
+        validation, message = poisoned(ycsb_target, value)
+        with pytest.raises(RepositoryError, match=message):
+            pipeline.predict_scaling(
+                two_sku_references, ycsb_source, SOURCE, TARGET,
+                target_validation=validation,
+            )
+
+    @NON_FINITE
+    def test_references_are_rejected(
+        self, two_sku_references, ycsb_source, value
+    ):
+        references, message = poisoned(two_sku_references, value)
+        with pytest.raises(RepositoryError, match=message):
+            WorkloadPredictionPipeline().predict_scaling(
+                references, ycsb_source, SOURCE, TARGET
+            )
+
+    def test_references_are_checked_once_per_catalog_build(
+        self, two_sku_references, ycsb_source, monkeypatch
+    ):
+        checked = []
+
+        def counting(result):
+            checked.append(result)
+            ensure_finite(result)
+
+        monkeypatch.setattr(pipeline_module, "ensure_finite", counting)
+        pipeline = WorkloadPredictionPipeline()
+        for _ in range(2):
+            pipeline.predict_scaling(
+                two_sku_references, ycsb_source, SOURCE, TARGET
+            )
+        assert len(checked) == len(two_sku_references) + 2 * len(ycsb_source)
 
 
 class TestProvenance:

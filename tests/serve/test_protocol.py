@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 
 import pytest
 
@@ -78,3 +80,16 @@ def test_decode_experiments_roundtrip(serve_target):
 def test_decode_experiments_rejects_malformed(entries):
     with pytest.raises(ServeError):
         decode_experiments(entries, what="target")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_decode_experiments_rejects_non_finite(serve_target, value):
+    payload = [encode_experiment(result) for result in serve_target]
+    payload[-1]["resource_series"][3][1] = value
+    message = (
+        f"target[{len(payload) - 1}] is malformed: experiment "
+        f"{serve_target[-1].experiment_id}: non-finite value {value} in "
+        f"resource_series[3, 1]"
+    )
+    with pytest.raises(ServeError, match=re.escape(message)):
+        decode_experiments(payload, what="target")

@@ -306,6 +306,30 @@ def test_predict_to_a_sku_the_references_lack_exits_1(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")],
+    ids=["nan", "+inf", "-inf"],
+)
+def test_predict_with_a_non_finite_target_exits_1(
+    prediction_inputs, tmp_path, capsys, value
+):
+    refs, target = prediction_inputs
+    payload = json.loads(target.read_text())
+    payload["experiments"][1]["resource_series"][40][2] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(
+        [
+            "predict", "--references", str(refs), "--target", str(bad),
+            "--source-cpus", "2", "--target-cpus", "8",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"non-finite value {value} in resource_series[40, 2]" in err
+    assert "Traceback" not in err
+
+
 class TestObservabilityFlags:
     def test_predict_writes_trace_metrics_manifest(
         self, prediction_inputs, tmp_path, capsys

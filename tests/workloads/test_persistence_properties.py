@@ -10,6 +10,8 @@ values must be rejected by every format before touching disk.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import RepositoryError
 from repro.workloads import SKU, ExperimentRepository, results_equal
+from repro.workloads import repository
 from repro.workloads.cache import CorpusCache
 from repro.workloads.repository import ensure_finite, repositories_equal
 from repro.workloads.runner import ExperimentResult, clone_with
@@ -202,3 +205,32 @@ class TestNonFiniteGuard:
 
     def test_finite_result_passes(self, result):
         ensure_finite(result)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_error_names_the_first_bad_position(self, result, value):
+        series = result.resource_series.copy()
+        series[3, 0] = series[2, 1] = value
+        with pytest.raises(RepositoryError) as raised:
+            ensure_finite(clone_with(result, resource_series=series))
+        assert str(raised.value) == (
+            f"experiment {result.experiment_id}: non-finite value "
+            f"{float(value)} in resource_series[2, 1]"
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_loaders_reject(self, result, suffix, value, tmp_path, monkeypatch):
+        bad = self.corrupt(result, "resource_series", value)
+        path = tmp_path / f"r{suffix}"
+        corpus = ExperimentRepository([result, bad])
+        # Written past the check on save, as another program could.
+        monkeypatch.setattr(repository, "ensure_finite", lambda result: None)
+        (corpus.save if suffix == ".json" else corpus.save_npz)(path)
+        monkeypatch.undo()
+        load = (
+            ExperimentRepository.load if suffix == ".json"
+            else ExperimentRepository.load_npz
+        )
+        message = f"non-finite value {float(value)} in resource_series[0, 0]"
+        with pytest.raises(RepositoryError, match=re.escape(message)):
+            load(path)
