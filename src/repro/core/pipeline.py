@@ -14,7 +14,8 @@ and a *new* target workload observed only on the source SKU, the pipeline:
 Stage 1 and the reference side of stages 2 and 3 depend only on the
 reference corpus and the config, so they live in a
 :class:`ReferenceCatalog`: the expanded references, the selected
-features and the fitted scaling models, each built on first use.  A
+features, the references' samples of those features and the fitted
+scaling models, each built on first use.  A
 pipeline keeps the catalog of the last corpus it saw, reused while the
 corpus it is given equals the catalog's own copy
 (:func:`~repro.workloads.repository.repositories_equal`), and after the
@@ -49,7 +50,11 @@ from repro.similarity.evaluation import (
     representation_matrices,
 )
 from repro.similarity.measures import get_measure
-from repro.similarity.representations import RepresentationBuilder
+from repro.similarity.representations import (
+    RepresentationBuilder,
+    gather_samples,
+    join_samples,
+)
 from repro.utils.rng import as_generator
 from repro.workloads.corpus import expand_subexperiments
 from repro.workloads.features import ALL_FEATURES, PLAN_FEATURES, RESOURCE_FEATURES
@@ -103,6 +108,10 @@ class ReferenceCatalog:
     - ``expanded(sku, n)``: the references on ``sku`` (all SKUs for
       ``None``) as ``n`` sub-experiments each;
     - ``features(sku, n)``: the features selected on those;
+    - ``samples(sku, n, features)``: each of ``features``' samples of
+      those sub-experiments back to back, with their counts
+      (:func:`~repro.similarity.representations.gather_samples`), so a
+      ranking walks only its target's sub-experiments;
     - ``model(reference, source_sku, target_sku)``: the reference's
       scaling model.
 
@@ -165,6 +174,27 @@ class ReferenceCatalog:
                 self.expanded(sku, n_subexperiments)
             ),
         )
+
+    def samples(
+        self, sku: SKU | None, n_subexperiments: int, features
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """:func:`gather_samples` of :meth:`expanded` of the same key.
+
+        The arrays are read-only: every ranking on this key shares them.
+        """
+        features = tuple(features)
+
+        def build():
+            gathered = gather_samples(
+                self.expanded(sku, n_subexperiments), features
+            )
+            for arrays in gathered.values():
+                for array in arrays:
+                    array.flags.writeable = False
+            return gathered
+
+        name = None if sku is None else sku.name
+        return self._get(("samples", name, n_subexperiments, features), build)
 
     def model(self, reference_name: str, source_sku: SKU, target_sku: SKU):
         """The scaling model of one reference for one migration."""
@@ -275,8 +305,20 @@ class WorkloadPredictionPipeline:
         references: ExperimentRepository,
         target: ExperimentRepository,
         features: tuple[str, ...],
+        *,
+        reference_samples: dict | None = None,
     ) -> SimilarityRanking:
-        """Rank reference workloads by mean distance to the target."""
+        """Rank reference workloads by mean distance to the target.
+
+        Normalization ranges are fitted on references and target
+        together (Section 4.3).  ``reference_samples`` is
+        :func:`~repro.similarity.representations.gather_samples` of
+        ``references`` over ``features``, such as a
+        :meth:`ReferenceCatalog.samples` entry; without it the
+        references are gathered here.  Either way only the target's
+        sub-experiments are walked on top, and the joined samples feed
+        both the fit and the Hist-FP pass.
+        """
         if len(target) == 0 or len(references) == 0:
             raise ValidationError("references and target must be non-empty")
         if not features:
@@ -306,10 +348,17 @@ class WorkloadPredictionPipeline:
             },
         ):
             combined = ExperimentRepository(list(references) + list(target))
-            builder = RepresentationBuilder(features).fit(combined)
+            if reference_samples is None:
+                reference_samples = gather_samples(references, features)
+            samples = join_samples(
+                reference_samples, gather_samples(target, features)
+            )
+            builder = RepresentationBuilder(features).fit(
+                combined, samples=samples
+            )
             matrices = representation_matrices(
                 combined, builder, self.config.representation,
-                features=features,
+                features=features, samples=samples,
             )
             # The target is the trailing rows of ``combined``, so the
             # cross block's rows are the target's runs and each
@@ -466,7 +515,12 @@ class WorkloadPredictionPipeline:
             stage_start = time.perf_counter()
             with span("pipeline.stage.rank_similarity"):
                 ranking = self.rank_similarity(
-                    ref_subexp, target_subexp, features
+                    ref_subexp,
+                    target_subexp,
+                    features,
+                    reference_samples=catalog.samples(
+                        source_sku, n_subexperiments, features
+                    ),
                 )
                 reference_name = ranking.nearest
             timings["rank_similarity"] = time.perf_counter() - stage_start

@@ -92,14 +92,20 @@ class PredictionService:
             self.catalog, _ = self._pipeline.reference_catalog(self.references)
             self._ref_subexp = self.catalog.expanded(None, self.n_subexperiments)
             self.features = self.catalog.features(None, self.n_subexperiments)
+            # One gather of the references feeds the fit and the Hist-FP
+            # pass.
+            samples = self.catalog.samples(
+                None, self.n_subexperiments, self.features
+            )
             self._builder = RepresentationBuilder(self.features).fit(
-                self._ref_subexp
+                self._ref_subexp, samples=samples
             )
             self._ref_matrices = representation_matrices(
                 self._ref_subexp,
                 self._builder,
                 self.config.representation,
                 features=self.features,
+                samples=samples,
             )
             self._ref_labels = np.asarray(
                 [r.workload_name for r in self._ref_subexp]

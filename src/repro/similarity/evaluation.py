@@ -54,18 +54,23 @@ def representation_matrices(
     representation: str,
     *,
     features=None,
+    samples=None,
 ) -> list[np.ndarray]:
     """Build one representation matrix per experiment in the corpus.
 
     Hist-FP fingerprints come from one batched pass over the whole corpus
-    (:meth:`RepresentationBuilder.hist_fps`); MTS and Phase-FP are built
-    per experiment.
+    (:meth:`RepresentationBuilder.hist_fps`), reading ``samples``
+    (:func:`~repro.similarity.representations.gather_samples` of
+    ``corpus``) when the caller has gathered them already.  MTS and
+    Phase-FP are built per experiment and do not read ``samples``.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValidationError("corpus must not be empty")
     if representation == "hist":
-        return list(builder.hist_fps(corpus, features=features))
+        return list(
+            builder.hist_fps(corpus, features=features, samples=samples)
+        )
     return [
         builder.build(result, representation, features=features)
         for result in corpus

@@ -97,21 +97,78 @@ def _segment_histograms(
     return np.cumsum(frequencies, axis=1) if cumulative else frequencies
 
 
-def _gather(results: list, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """One feature's samples of every experiment back to back, and counts.
+def gather_samples(
+    results, features
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each feature's samples of every experiment back to back, and counts.
 
-    An experiment without samples of the feature is rejected here, before
-    any segmented reduction could silently read its neighbour's values.
+    The result maps each of ``features`` to ``(values, sizes)``: the
+    experiments' ``feature_samples`` concatenated in order, and one count
+    per experiment.  It is what :meth:`RepresentationBuilder.fit`,
+    :meth:`RepresentationBuilder.hist_fps` and
+    :func:`~repro.similarity.evaluation.representation_matrices` read
+    through their ``samples`` argument; gathering once and passing it to
+    several of them, or concatenating the gathers of two corpora
+    (:func:`join_samples`), gives the same bytes as each gathering
+    alone.  An experiment without samples of a feature is rejected
+    here, naming it, before any segmented reduction could silently read
+    its neighbour's values.
     """
-    samples = [result.feature_samples(name) for result in results]
-    sizes = np.array([s.size for s in samples], dtype=np.intp)
+    results = list(results)
+    if not results:
+        raise ValidationError("no experiments to gather samples from")
+    gathered = {}
+    for name in features:
+        parts = [result.feature_samples(name) for result in results]
+        sizes = np.array([part.size for part in parts], dtype=np.intp)
+        gathered[name] = np.concatenate(parts), sizes
+        _aligned(gathered, results, name)
+    return gathered
+
+
+def join_samples(first: dict, second: dict) -> dict:
+    """The samples of two corpora's concatenation, feature by feature.
+
+    Both must hold the same features; ``first``'s experiments come
+    first, as in ``list(a) + list(b)``.
+    """
+    if first.keys() != second.keys():
+        raise ValidationError(
+            f"cannot join samples of features {sorted(first)} "
+            f"and {sorted(second)}"
+        )
+    return {
+        name: (
+            np.concatenate([first[name][0], second[name][0]]),
+            np.concatenate([first[name][1], second[name][1]]),
+        )
+        for name in first
+    }
+
+
+def _aligned(samples: dict, results: list, name: str):
+    """``samples[name]`` checked against the experiments it describes.
+
+    One positive count per experiment, summing to the number of values;
+    otherwise the segments would be read against the wrong experiments.
+    """
+    try:
+        values, sizes = samples[name]
+    except KeyError:
+        raise ValidationError(f"samples lack feature {name!r}") from None
+    if sizes.size != len(results) or int(sizes.sum()) != values.size:
+        raise ValidationError(
+            f"samples of feature {name!r} hold {values.size} value(s) in "
+            f"{sizes.size} count(s), which do not match the "
+            f"{len(results)} experiment(s) given"
+        )
     if not sizes.all():
         empty = results[int(np.argmin(sizes))]
         raise ValidationError(
             f"feature {name!r} of experiment {empty.experiment_id} "
             "has no samples"
         )
-    return np.concatenate(samples), sizes
+    return values, sizes
 
 
 def _stat(values: np.ndarray, stat: str) -> float:
@@ -171,15 +228,23 @@ class RepresentationBuilder:
     #: destroying resolution exactly where it is needed.
     LOG_SCALE_RATIO = 1e3
 
-    def fit(self, corpus) -> "RepresentationBuilder":
-        """Learn corpus-wide [min, max] ranges (and scales) per feature."""
+    def fit(self, corpus, *, samples=None) -> "RepresentationBuilder":
+        """Learn corpus-wide [min, max] ranges (and scales) per feature.
+
+        ``samples`` is :func:`gather_samples` of ``corpus`` over at least
+        the builder's features, gathered by the caller once for several
+        uses; without it the fit gathers them itself.  Counts that do
+        not match ``corpus`` raise :class:`ValidationError`.
+        """
         self._ranges: dict[str, tuple[float, float]] = {}
         self._log_floor: dict[str, float | None] = {}
         experiments = list(corpus)
         if not experiments:
             raise ValidationError("corpus must contain at least one experiment")
+        if samples is None:
+            samples = gather_samples(experiments, self.feature_names)
         for name in self.feature_names:
-            values, sizes = _gather(experiments, name)
+            values, sizes = _aligned(samples, experiments, name)
             starts = np.cumsum(sizes) - sizes
             lows = np.minimum.reduceat(values, starts)
             highs = np.maximum.reduceat(values, starts)
@@ -269,23 +334,28 @@ class RepresentationBuilder:
         )[0]
 
     def hist_fps(
-        self, results, *, features=None, cumulative: bool = True
+        self, results, *, features=None, cumulative: bool = True, samples=None
     ) -> np.ndarray:
         """Histogram fingerprints of many experiments, ``(n, n_bins, k)``.
 
         One pass per feature over all experiments: their samples are
         concatenated, normalized once and binned by one segmented count,
         and each ``[i]`` is bit-identical to ``hist_fp(results[i])``
-        built alone.  An experiment with no samples of a selected
-        feature raises :class:`ValidationError`.
+        built alone.  ``samples`` is :func:`gather_samples` of
+        ``results``, as for :meth:`fit`; without it they are gathered
+        here.  An experiment with no samples of a selected feature, or
+        counts that do not match ``results``, raise
+        :class:`ValidationError`.
         """
         names = self._select(features)
         results = list(results)
         if not results:
             raise ValidationError("results must contain at least one experiment")
+        if samples is None:
+            samples = gather_samples(results, names)
         fingerprints = np.empty((len(results), self.n_bins, len(names)))
         for j, name in enumerate(names):
-            values, sizes = _gather(results, name)
+            values, sizes = _aligned(samples, results, name)
             fingerprints[:, :, j] = _segment_histograms(
                 self._normalize(values, name),
                 sizes,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core import PipelineConfig, WorkloadPredictionPipeline
 from repro.exceptions import PipelineError
 from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -23,6 +24,7 @@ from repro.workloads.repository import (
     result_from_dict,
     result_to_dict,
 )
+from repro.workloads.runner import ExperimentResult
 from tests.golden.builders import (
     PREDICTION_QUERIES,
     PREDICTION_SOURCE,
@@ -161,6 +163,89 @@ def test_change_in_place_misses_and_answers_for_the_new_corpus():
     assert np.array_equal(
         after.predicted_throughput, fresh.predicted_throughput
     )
+
+
+def test_second_prediction_walks_only_its_target(monkeypatch):
+    """After the first prediction on a corpus, ranking reads the
+    references' samples from the catalog: no reference sub-experiment
+    is asked for a feature's samples again, and each samples entry is
+    gathered once."""
+    pipeline = WorkloadPredictionPipeline()
+    references = prediction_references()
+    targets = prediction_targets()
+    gathers = []
+    gather = pipeline_module.gather_samples
+
+    def counting_gather(results, features):
+        gathers.append((len(results), tuple(features)))
+        return gather(results, features)
+
+    monkeypatch.setattr(pipeline_module, "gather_samples", counting_gather)
+    first = predict(pipeline, references, targets[0])
+    catalog, _ = pipeline.reference_catalog(references)
+    expanded = catalog.expanded(PREDICTION_SOURCE, 10)
+    entry = catalog.samples(PREDICTION_SOURCE, 10, first.selected_features)
+
+    walked = []
+    feature_samples = ExperimentResult.feature_samples
+
+    def recording(self, name):
+        walked.append(self)
+        return feature_samples(self, name)
+
+    monkeypatch.setattr(ExperimentResult, "feature_samples", recording)
+    second = predict(pipeline, references, targets[1])
+    assert second.manifest.extra["catalog"] == "hit"
+    reference_ids = {id(run) for run in expanded}
+    assert walked and not any(id(run) in reference_ids for run in walked)
+    # Ten sub-experiments per target run, once per selected feature.
+    assert len(walked) == 10 * len(targets[1]) * len(first.selected_features)
+    assert catalog.samples(
+        PREDICTION_SOURCE, 10, first.selected_features
+    ) is entry
+    reference_gathers = [g for g in gathers if g[0] == len(expanded)]
+    assert reference_gathers == [(len(expanded), first.selected_features)]
+
+
+def test_change_in_place_gathers_the_new_samples():
+    """Telemetry changed in place misses the catalog, and the new
+    catalog's samples answer like a fresh pipeline's."""
+    references = copy_of(prediction_references())
+    target = prediction_targets()[0]
+    pipeline = WorkloadPredictionPipeline()
+    before = predict(pipeline, references, target)
+    old_catalog, _ = pipeline.reference_catalog(references)
+    old_entry = old_catalog.samples(
+        PREDICTION_SOURCE, 10, before.selected_features
+    )
+    for run in references.by_sku(PREDICTION_SOURCE):
+        if run.workload_name == "tpcc":
+            run.resource_series *= 1.5
+            run.plan_matrix *= 1.5
+    after = predict(pipeline, references, target)
+    fresh = predict(WorkloadPredictionPipeline(), references, target)
+    assert after.manifest.extra["catalog"] == "miss"
+    catalog, _ = pipeline.reference_catalog(references)
+    assert catalog is not old_catalog
+    entry = catalog.samples(PREDICTION_SOURCE, 10, after.selected_features)
+    assert entry is not old_entry
+    assert after.similarity.distances != before.similarity.distances
+    assert after.similarity.distances == fresh.similarity.distances
+    assert after.reference_workload == fresh.reference_workload
+    assert np.array_equal(
+        after.predicted_throughput, fresh.predicted_throughput
+    )
+
+
+def test_samples_entries_are_read_only():
+    pipeline = WorkloadPredictionPipeline()
+    catalog, _ = pipeline.reference_catalog(prediction_references())
+    features = catalog.features(PREDICTION_SOURCE, 10)
+    values, sizes = catalog.samples(PREDICTION_SOURCE, 10, features)[features[0]]
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sizes[0] = 0
 
 
 def test_float32_copy_misses_the_catalog():
