@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.utils.stats import (
@@ -65,6 +67,16 @@ class TestWeightedMean:
             weighted_mean([1, 2, 3], [1, 1])
 
 
+def numpy_scalar_loop(n, *, rho, sigma, rng):
+    """The recurrence as first written: a loop over numpy scalars."""
+    innovations = rng.normal(0.0, sigma * np.sqrt(1 - rho**2), n)
+    log_noise = np.empty(n)
+    log_noise[0] = rng.normal(0.0, sigma)
+    for t in range(1, n):
+        log_noise[t] = rho * log_noise[t - 1] + innovations[t]
+    return np.exp(log_noise)
+
+
 class TestAR1LognormalNoise:
     def test_matches_reference_loop_bit_for_bit(self):
         """The shared helper must reproduce the original inline loops.
@@ -85,6 +97,37 @@ class TestAR1LognormalNoise:
             n, rho=rho, sigma=sigma, rng=np.random.default_rng(42)
         )
         np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 360])
+    @pytest.mark.parametrize("rho", [0.55, 0.3, 0.0, np.float32(0.55)])
+    def test_sweep_matches_numpy_scalar_loop(self, rho, n):
+        """0.55 and 0.3 are the telemetry and throughput values; 360 is
+        an hour sampled every 10 s; a float32 ``rho`` must not round
+        the Python-float products to float32."""
+        for seed in range(25):
+            expected = numpy_scalar_loop(
+                n, rho=rho, sigma=0.3, rng=np.random.default_rng(seed)
+            )
+            actual = ar1_lognormal_noise(
+                n, rho=rho, sigma=0.3, rng=np.random.default_rng(seed)
+            )
+            assert actual.tobytes() == expected.tobytes()
+
+    @given(
+        n=st.integers(1, 400),
+        rho=st.floats(0.0, 1.0, exclude_max=True),
+        sigma=st.floats(1e-6, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_cases_match_numpy_scalar_loop(self, n, rho, sigma, seed):
+        expected = numpy_scalar_loop(
+            n, rho=rho, sigma=sigma, rng=np.random.default_rng(seed)
+        )
+        actual = ar1_lognormal_noise(
+            n, rho=rho, sigma=sigma, rng=np.random.default_rng(seed)
+        )
+        assert actual.tobytes() == expected.tobytes()
 
     def test_stationary_scale(self):
         rng = np.random.default_rng(0)
