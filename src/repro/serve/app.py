@@ -185,7 +185,14 @@ class ServeApp:
             raise ServeError("request body must be a JSON object")
         if self._shutdown:
             return 503, {"error": "server is shutting down"}
-        digest = request_digest(self.identity, endpoint, payload)
+        try:
+            digest = request_digest(self.identity, endpoint, payload)
+        except ServeError:
+            # Canonical JSON refuses NaN and infinities without saying
+            # where they are; a target carrying one gets the decoder's
+            # error, which names the experiment, field and position.
+            decode_experiments(payload.get("target"), what="target")
+            raise
         if payload.get("mode") == "async":
             job = self.jobs.submit(digest, endpoint, payload)
             get_metrics().counter("serve.async_submissions_total").inc()

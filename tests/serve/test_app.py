@@ -261,6 +261,38 @@ class TestNonFiniteTargets:
         assert "error" in body
 
     @NON_FINITE
+    @pytest.mark.parametrize("endpoint", ["/v1/rank", "/v1/predict"])
+    def test_error_names_experiment_field_and_position(
+        self, app, target_payload, endpoint, value
+    ):
+        """The canonical-JSON request digest refuses the payload before
+        any decoding; the answer still carries the decoder's message."""
+        entries = copy.deepcopy(target_payload)
+        entries[0]["resource_series"][3][1] = value
+        payload = (
+            rank_payload(entries) if endpoint == "/v1/rank"
+            else predict_payload(entries)
+        )
+        status, body, _ = app.handle("POST", endpoint, payload)
+        experiment = result_from_dict(target_payload[0]).experiment_id
+        assert status == 400
+        assert body["error"] == (
+            f"target[0] is malformed: experiment {experiment}: "
+            f"non-finite value {value} in resource_series[3, 1]"
+        )
+
+    def test_non_finite_outside_the_target_keeps_the_digest_error(
+        self, app, target_payload
+    ):
+        status, body, _ = app.handle(
+            "POST", "/v1/rank", rank_payload(target_payload, note=math.inf)
+        )
+        assert status == 400
+        assert body["error"].startswith(
+            "payload is not canonical-JSON-encodable"
+        )
+
+    @NON_FINITE
     def test_prepare_target_rejects(self, warm_service, target_payload, value):
         entries = copy.deepcopy(target_payload)
         entries[0]["resource_series"][3][1] = value
