@@ -13,7 +13,7 @@ search (:mod:`repro.similarity.pruning`) lives here too:
   dependent-DTW distance — a candidate whose bound already exceeds the
   best distance found so far never needs the full dynamic program;
 - :func:`batch_dependent_costs` computes the local-cost matrices for a
-  whole stack of equal-shape pairs in one batched contraction.
+  whole stack of equal-shape pairs in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -88,10 +88,24 @@ def dtw_distance(a, b, *, window: int | None = None) -> float:
 
 
 def _dependent_cost(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean local costs, vectorized."""
-    sq_a = np.sum(A**2, axis=1)[:, None]
-    sq_b = np.sum(B**2, axis=1)[None, :]
-    return np.maximum(sq_a + sq_b - 2.0 * (A @ B.T), 0.0)
+    """Pairwise squared Euclidean local costs, vectorized.
+
+    ``cost[..., i, j] = sum_k (A[..., i, k] - B[..., j, k]) ** 2``, so
+    leading axes stack pairs.  Samples are subtracted before squaring:
+    the expanded form ``|a|^2 + |b|^2 - 2 a.b`` cancels when two samples
+    are close, and rounds ``[1e-8, 1]`` vs ``[0, 1]`` to a cost of 0,
+    below what :func:`lb_keogh` proves.  Features are added one at a
+    time in order, elementwise, so every slice of a stack gets the same
+    bits as its pair alone.
+    """
+    shape = A.shape[:-1] + (B.shape[-2],)
+    cost = np.zeros(shape)
+    diff = np.empty(shape)
+    for k in range(A.shape[-1]):
+        np.subtract(A[..., :, k, None], B[..., None, :, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        cost += diff
+    return cost
 
 
 def batch_dependent_costs(
@@ -102,13 +116,10 @@ def batch_dependent_costs(
     ``stack_a`` is ``(pairs, m, features)`` and ``stack_b`` is
     ``(pairs, n, features)``; the result is ``(pairs, m, n)``.  Each
     slice is bit-identical to :func:`_dependent_cost` on the single pair
-    (the batched ``matmul`` runs the same GEMM per slice), so the
-    distance engine's batch path reproduces the per-pair path exactly.
+    (its sums are elementwise), so the distance engine's batch path
+    reproduces the per-pair path exactly.
     """
-    sq_a = np.sum(stack_a**2, axis=2)[:, :, None]
-    sq_b = np.sum(stack_b**2, axis=2)[:, None, :]
-    cross = np.matmul(stack_a, stack_b.transpose(0, 2, 1))
-    return np.maximum(sq_a + sq_b - 2.0 * cross, 0.0)
+    return _dependent_cost(stack_a, stack_b)
 
 
 def _as_mts(values, name: str) -> np.ndarray:

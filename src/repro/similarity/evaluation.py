@@ -107,7 +107,7 @@ def _pair_values(
 
     Every value equals calling ``measure`` on its pair alone, aligned by
     :func:`_prepare_pair`.  Dependent-DTW over matrices of one shape
-    builds every pair's local-cost matrix in one batched contraction
+    builds every pair's local-cost matrix in one vectorized pass
     (:func:`~repro.similarity.dtw.batch_dependent_costs`) before the
     dynamic programs run, which is bit-identical per pair; everything
     else is evaluated pair by pair.  Callers take the stacked norm path

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.similarity.dtw import dtw_distance, multivariate_dtw
+from repro.similarity.dtw import (
+    _dependent_cost,
+    batch_dependent_costs,
+    dtw_distance,
+    lb_keogh,
+    multivariate_dtw,
+)
 from repro.similarity.lcss import lcss_distance, multivariate_lcss
 
 
@@ -78,6 +84,28 @@ class TestMultivariateDTW:
                 rng.normal(size=(5, 2)),
                 strategy="both",
             )
+
+    def test_dependent_cost_keeps_close_samples_apart(self):
+        # One sample differs by 1e-8 next to a coordinate of 1: the
+        # expanded |a|^2 + |b|^2 - 2 a.b form rounded this cost to 0,
+        # below the LB_Keogh bound the pruned search relies on.
+        A = np.zeros((8, 2))
+        B = np.zeros((8, 2))
+        A[-1] = [1e-8, 1.0]
+        B[-1] = [0.0, 1.0]
+        exact = multivariate_dtw(A, B, strategy="dependent", window=0)
+        assert exact == pytest.approx(1e-8, rel=1e-12)
+        assert lb_keogh(A, B, window=0) <= exact
+
+    def test_batch_costs_bit_identical_to_pairs(self, rng):
+        # Nine features: more than numpy's eight-way unrolled sum, so an
+        # axis reduction could add them in another order than a pair.
+        stack_a = rng.normal(size=(5, 7, 9)) * 1e3
+        stack_b = stack_a + rng.normal(size=(5, 7, 9)) * 1e-6
+        costs = batch_dependent_costs(stack_a, stack_b)
+        for p in range(len(stack_a)):
+            single = _dependent_cost(stack_a[p], stack_b[p])
+            assert costs[p].tobytes() == single.tobytes()
 
 
 class TestLCSS:
