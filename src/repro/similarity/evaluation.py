@@ -505,48 +505,96 @@ def normalized_distances(D: np.ndarray) -> np.ndarray:
     return D / peak if peak > 0 else D.copy()
 
 
-def _triangle_bounds(
-    matrices: list[np.ndarray], measure: MeasureSpec, pivot_rows: np.ndarray
-) -> np.ndarray:
-    """Upper bounds on every pair's computed distance; ``+inf`` if none.
+def _widened(through_pivot, size: int):
+    """A triangle bound on computed distances, from ``through_pivot``.
 
-    ``pivot_rows[k, i]`` is the computed distance from pivot ``k`` to
-    matrix ``i``; entry ``(i, j)`` of the result bounds the computed
-    ``d(i, j)``.  For a norm of the difference over matrices of one
-    shape with ``m`` entries, a computed distance ``d~`` is within
-    ``delta * d + tau`` of the exact ``d``: ``delta = gamma(m + 4)``
-    (``gamma(k) = k u / (1 - k u)``, ``u = 2**-53``) covers the rounding
-    of the subtraction, the squares, at most ``m - 1`` additions in any
-    order and the square root; ``tau = m * 2**-537`` covers squares that
-    underflow (at most ``2**-1075`` each, which the square root raises
-    to at most ``sqrt(m * 2**-1075)``).  The exact triangle inequality
-    through a pivot ``p`` then gives, while ``delta <= 1/6`` (``m``
-    below 10**15)::
+    ``through_pivot`` is a computed ``d~(i, p) + d~(p, j)`` (or its
+    minimum over pivots ``p``), for a norm of the difference over
+    matrices of one shape with ``size`` entries, ``m``.  A computed
+    distance ``d~`` is within ``delta * d + tau`` of the exact ``d``:
+    ``delta = gamma(m + 4)`` (``gamma(k) = k u / (1 - k u)``,
+    ``u = 2**-53``) covers the rounding of the subtraction, the squares,
+    at most ``m - 1`` additions in any order and the square root;
+    ``tau = m * 2**-537`` covers squares that underflow (at most
+    ``2**-1075`` each, which the square root raises to at most
+    ``sqrt(m * 2**-1075)``).  The exact triangle inequality through
+    ``p`` then gives, while ``delta <= 1/6`` (``m`` below 10**15)::
 
         d~(i, j) <= (1 + 3 delta) (d~(i, p) + d~(p, j)) + 4 tau
 
     and ``(d~(i, p) + d~(p, j)) * (1 + 4 delta) + 5 tau``, computed in
     floats, is at least the right-hand side: ``delta >= 5u`` leaves room
     for the roundings of that sum, the factor and the product, and the
-    fifth ``tau`` for the last addition.  Other measures, and mixed
-    shapes (which :func:`_prepare_pair` truncates pair by pair), get no
-    bound.
+    fifth ``tau`` for the last addition.  Every step is a monotone
+    rounding, so a larger ``through_pivot`` never gives a smaller bound.
     """
-    n = len(matrices)
-    if measure.func not in DIFFERENCE_NORMS or len(
-        {M.shape for M in matrices}
-    ) != 1:
-        return np.full((n, n), np.inf)
-    through_pivot = pivot_rows[0][:, None] + pivot_rows[0][None, :]
-    for row in pivot_rows[1:]:
-        # ``minimum`` propagates NaN, so a NaN distance bounds nothing.
-        np.minimum(
-            through_pivot, row[:, None] + row[None, :], out=through_pivot
-        )
-    size = matrices[0].size
     rounding = (size + 4) * np.finfo(float).eps / 2
     delta = rounding / (1 - rounding)
     return through_pivot * (1 + 4 * delta) + 5 * size * 2.0**-537
+
+
+def _first_pairs(n: int, n_references: int, pivots: np.ndarray) -> np.ndarray:
+    """Row-major pairs ``(i, j)``, ``i < j``, of the target-by-reference
+    block and of every pair that touches a pivot, as an ``(m, 2)`` index
+    array.
+
+    ``pivots`` are sorted and end with the first target row,
+    ``n_references``.  A pivot row pairs with every later matrix; another
+    reference row with the later reference pivots and every target;
+    another target row with nothing, because every pivot and reference
+    comes before it.  Row ``i``'s columns are one run of ``source``:
+    ``i + 1 .. n - 1`` of its first part for a pivot, a suffix of its
+    second part for another reference.
+    """
+    source = np.concatenate(
+        (np.arange(n), pivots[:-1], np.arange(n_references, n))
+    )
+    rows = np.arange(n_references + 1)
+    is_pivot = np.isin(rows, pivots)
+    starts = np.where(
+        is_pivot, rows + 1, n + np.searchsorted(pivots[:-1], rows)
+    )
+    lengths = np.where(is_pivot, n, len(source)) - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.column_stack(
+        (
+            np.repeat(rows, lengths),
+            source[np.arange(len(offsets)) + offsets],
+        )
+    )
+
+
+def _bounded_pairs(
+    routes: np.ndarray, groups: list[np.ndarray], peak, size: int
+) -> np.ndarray:
+    """Pairs within and between ``groups`` whose bound reaches ``peak``.
+
+    ``routes[k, i]`` is the computed distance from pivot ``k`` to matrix
+    ``i``, and the ``groups`` are index arrays of matrices that are not
+    pivots.  A pair's bound is ``_widened(min_k routes[k, i] +
+    routes[k, j])``.  Two groups ``g`` and ``h`` are first bounded as a
+    block by ``_widened(min_k max_g routes[k] + max_h routes[k])``,
+    which is at least every member pair's bound, so the pairs' bounds
+    are computed only in blocks whose bound reaches the peak.  ``max``
+    and ``min`` propagate NaN, so a NaN route bounds nothing.  Pairs
+    have their lower index first, in row-major order.
+    """
+    groups = [g for g in groups if len(g)]
+    far = [routes[:, g].max(axis=1) for g in groups]
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for a, g in enumerate(groups):
+        for b in range(a, len(groups)):
+            if _widened(np.min(far[a] + far[b]), size) < peak:
+                continue
+            h = groups[b]
+            through = np.min(routes[:, g, None] + routes[:, None, h], axis=0)
+            keep = ~(_widened(through, size) < peak)
+            if a == b:
+                keep = np.triu(keep, 1)
+            i, j = np.nonzero(keep)
+            pairs.append(np.column_stack((g[i], h[j])))
+    pairs = np.sort(np.concatenate(pairs), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def normalized_cross_block(
@@ -570,11 +618,14 @@ def normalized_cross_block(
     1. one pair-engine call computes the cross block and every pair
        that touches a pivot (the first run of each reference workload
        and the first target row), lower index first as in
-       :func:`distance_matrix`;
-    2. every other pair is bounded through the pivots by the triangle
-       inequality (:func:`_triangle_bounds`);
+       :func:`distance_matrix` (:func:`_first_pairs`);
+    2. every other pair lies within one reference workload, between two
+       of them, or within the target, and is bounded through the pivots
+       by the triangle inequality, block by block and then pair by pair
+       (:func:`_bounded_pairs`);
     3. a second call computes the pairs whose bound reaches the peak of
-       the first; the rest are strictly below it and cannot be the peak.
+       the first, in row-major order; the rest are strictly below it and
+       cannot be the peak.  With no such pair there is no second call.
 
     A measure that is not a norm of the difference, or matrices of mixed
     shape, bound nothing, so the second call computes the rest of the
@@ -594,14 +645,12 @@ def normalized_cross_block(
     if cache is not None and _stacked_form(matrices, measure) is None:
         # Hashed once for both engine calls.
         digests = [matrix_digest(M) for M in matrices]
-    _, firsts = np.unique(labels, return_index=True)
+    names, firsts, workload = np.unique(
+        labels, return_index=True, return_inverse=True
+    )
     pivots = np.append(np.sort(firsts), n_references)
-    computed = np.zeros((n, n), dtype=bool)
-    computed[:n_references, n_references:] = True
-    computed[pivots] = True
-    computed[:, pivots] = True
-    first = np.argwhere(np.triu(computed, 1))
-    rest = np.triu(~computed, 1)
+    first = _first_pairs(n, n_references, pivots)
+    rows, cols = first.T
     with span(
         "similarity.normalized_cross_block",
         attrs={
@@ -614,20 +663,47 @@ def normalized_cross_block(
         known = _pair_distances(
             matrices, first, measure, n_workers, cache, digests
         )
-        D = np.zeros((n, n))
-        rows, cols = first.T
-        D[rows, cols] = D[cols, rows] = known
-        bounds = _triangle_bounds(matrices, measure, D[pivots])
-        needed = rest & ~(bounds < known.max())
-        unbounded = _pair_distances(
-            matrices, np.argwhere(needed), measure, n_workers, cache, digests
+        crossing = (rows < n_references) & (cols >= n_references)
+        block = np.empty((n_targets, n_references))
+        block[cols[crossing] - n_references, rows[crossing]] = known[crossing]
+        # Other measures, and mixed shapes, have no triangle bound: every
+        # route stays infinite, so every remaining pair is computed.
+        routes = np.full((len(pivots), n), np.inf)
+        if measure.func in DIFFERENCE_NORMS and len(
+            {M.shape for M in matrices}
+        ) == 1:
+            slot = np.full(n, -1)
+            slot[pivots] = np.arange(len(pivots))
+            for end, other in ((rows, cols), (cols, rows)):
+                at = slot[end] >= 0
+                routes[slot[end[at]], other[at]] = known[at]
+        # Each reference workload's runs after its first, and the target
+        # rows after the first: no pair within one list is computed yet.
+        # Every reference precedes every target, so the concatenated
+        # pairs stay row-major.
+        workloads = [
+            np.flatnonzero(workload == k)[1:] for k in range(len(names))
+        ]
+        peak = known.max()
+        size = matrices[0].size
+        needed = np.concatenate(
+            (
+                _bounded_pairs(routes, workloads, peak, size),
+                _bounded_pairs(
+                    routes, [np.arange(n_references + 1, n)], peak, size
+                ),
+            )
         )
-        peak = float(np.max(np.append(known, unbounded)))
-    pruned = int(np.count_nonzero(rest)) - int(np.count_nonzero(needed))
+        if len(needed):
+            unbounded = _pair_distances(
+                matrices, needed, measure, n_workers, cache, digests
+            )
+            peak = np.max(np.append(peak, unbounded))
+        peak = float(peak)
+    pruned = n * (n - 1) // 2 - len(first) - len(needed)
     if pruned:
         get_metrics().counter("similarity.pairs_pruned_total").inc(pruned)
-    block = D[n_references:, :n_references]
-    return block / peak if peak > 0 else block.copy()
+    return block / peak if peak > 0 else block
 
 
 def knn_accuracy(D: np.ndarray, labels) -> float:

@@ -20,9 +20,15 @@ def _lcss_length(
     """Length of the longest epsilon/delta-constrained common subsequence.
 
     ``A`` and ``B`` are ``(time, features)``; a pair matches when every
-    dimension differs by at most ``epsilon``.  The dynamic program runs
-    along anti-diagonals so each step is a vectorized max (the similarity
-    benchmarks evaluate thousands of pairs).
+    dimension differs by at most ``epsilon``.  The dynamic program walks
+    the rows of the shorter series, each a vectorized pass over the
+    longer one (the similarity benchmarks evaluate thousands of pairs).
+    Row ``i`` of the table follows from row ``i - 1``, ``previous``, as
+    ``maximum.accumulate(where(match, previous[:-1] + 1, previous[1:]))``:
+    that equals the recurrence ``previous[j - 1] + 1`` on a match and
+    ``max(previous[j], current[j - 1])`` otherwise, because neighbouring
+    entries of an LCS table differ by at most 1, whatever the match
+    matrix.  The entries are integers, so the length is exact.
     """
     m, n = A.shape[0], B.shape[0]
     matches = np.all(
@@ -34,18 +40,15 @@ def _lcss_length(
         i_idx = np.arange(m)[:, None]
         j_idx = np.arange(n)[None, :]
         matches = matches & (np.abs(i_idx - j_idx) <= delta)
-    table = np.zeros((m + 1, n + 1), dtype=int)
-    for diagonal in range(2, m + n + 1):
-        i_low = max(1, diagonal - n)
-        i_high = min(m, diagonal - 1)
-        if i_low > i_high:
-            continue
-        i = np.arange(i_low, i_high + 1)
-        j = diagonal - i
-        extended = table[i - 1, j - 1] + 1
-        skipped = np.maximum(table[i - 1, j], table[i, j - 1])
-        table[i, j] = np.where(matches[i - 1, j - 1], extended, skipped)
-    return int(table[m, n])
+    if m > n:
+        # The LCS of the transposed match matrix has the same length.
+        matches = matches.T
+    row = np.zeros(matches.shape[1] + 1, dtype=int)
+    for match in matches:
+        row[1:] = np.maximum.accumulate(
+            np.where(match, row[:-1] + 1, row[1:])
+        )
+    return int(row[-1])
 
 
 def _as_matrix(values, name: str) -> np.ndarray:

@@ -7,10 +7,10 @@ return a non-negative scalar distance.
 
 Norms whose reductions can run over a whole stack of pairs at once also
 have a stacked form, ``(P, r, c) x (P, r, c) -> (P,)``, listed in
-:data:`BATCHED_NORMS`.  A stacked form applies the same ufuncs over the
-same reduction axes of C-contiguous slices, so numpy sums every slice in
-the same order as the scalar function and each result is bit-identical
-to it (``tests/similarity/test_batched_norms.py`` asserts ``==``).  The
+:data:`BATCHED_NORMS`.  A stacked form applies the same ufuncs as the
+scalar function and adds each C-contiguous slice's entries in the same
+order as numpy does for the scalar, so each result is bit-identical to
+it (``tests/similarity/test_batched_norms.py`` asserts ``==``).  The
 others keep only their scalar form: Frobenius reduces through a BLAS dot
 product, Canberra/Chi-square sum a masked selection whose length varies
 per pair (a stacked reduction would add in a different order), and
@@ -72,15 +72,26 @@ def batch_l11_distances(A, B) -> np.ndarray:
 def batch_l21_distances(A, B) -> np.ndarray:
     """:func:`l21_distance` of every slice pair of two ``(P, r, c)`` stacks.
 
-    ``np.linalg.norm(X, axis=k)`` of a real ``X`` is
-    ``sqrt(add.reduce(X * X, axis=k))``; it is spelled out here so the
-    squares reuse the difference's buffer — a stack of pairs is large
-    enough that every fresh temporary costs more than the arithmetic.
+    ``np.linalg.norm(X, axis=0)`` of a real ``X`` is
+    ``sqrt(add.reduce(X * X, axis=0))``.  numpy reduces the first axis
+    of a C-contiguous ``(r, c)`` matrix with ``c >= 2`` by adding its
+    rows one after another into a running sum of ``c`` entries.  So the
+    squares are copied experiment-minor, ``(r, c, P)``, and reduced the
+    same way: each row addition is one vector pass over every pair, not
+    ``P * r`` inner loops over ``c`` entries.  A single column is a
+    contiguous vector, which numpy sums pairwise from 8 rows on, so
+    ``c == 1`` keeps the pair-major reduction.  Either way the column
+    norms are summed pair-major, as the scalar sums its vector of them.
     """
     A, B = _stack_pair(A, B)
     difference = np.subtract(A, B)
     np.multiply(difference, difference, out=difference)
-    return np.sum(np.sqrt(np.add.reduce(difference, axis=1)), axis=1)
+    P, r, c = difference.shape
+    if c == 1:
+        return np.sum(np.sqrt(np.add.reduce(difference, axis=1)), axis=1)
+    squares = np.ascontiguousarray(difference.reshape(P, -1).T)
+    norms = np.sqrt(np.add.reduce(squares.reshape(r, c, P), axis=0))
+    return np.sum(np.ascontiguousarray(norms.T), axis=1)
 
 
 def frobenius_distance(A, B) -> float:

@@ -30,6 +30,37 @@ from repro.workloads.sku import SKU
 #: Page size used to convert working sets to page counts (8 KiB pages).
 PAGE_KB = 8.0
 
+#: Log-normal jitter scales of the estimates one plan row draws before
+#: its two Poisson counts, in draw order.
+SCALES_BEFORE_COUNTS = np.array(
+    [
+        0.03,  # GrantedMemory
+        0.1,  # CompileCPU
+        0.12,  # StatementEstRows
+        0.08,  # StatementSubTreeCost
+        0.02,  # TableCardinality
+        0.05,  # SerialDesiredMemory
+        0.05,  # SerialRequiredMemory
+        0.08,  # MaxCompileMemory
+    ]
+)
+#: Jitter scales of the estimates drawn after the counts, in draw order.
+SCALES_AFTER_COUNTS = np.array(
+    [
+        0.04,  # EstimatedPagesCached
+        0.02,  # EstimatedAvailableMemoryGrant
+        0.05,  # CachedPlanSize
+        0.04,  # AvgRowSize
+        0.08,  # CompileMemory
+        0.1,  # EstimateRows
+        0.08,  # EstimateIO
+        0.08,  # CompileTime
+        0.08,  # EstimateCPU
+        0.06,  # MaxUsedMemory
+        0.1,  # EstimatedRowsRead
+    ]
+)
+
 
 class QueryPlanner:
     """Plan-statistic generator for a workload on a given SKU."""
@@ -38,6 +69,7 @@ class QueryPlanner:
         self.workload = workload
         self.sku = sku
         self._buffer = BufferPoolModel(workload, sku)
+        self._available_kb = self._available_memory_grant_kb()
 
     def _available_memory_grant_kb(self) -> float:
         """Workspace the engine advertises for a single grant (KB)."""
@@ -53,43 +85,57 @@ class QueryPlanner:
     def plan_row(
         self, txn: TransactionType, rng: np.random.Generator
     ) -> dict[str, float]:
-        """One observed plan for ``txn``; dict keyed by plan feature name."""
-        def jitter(scale: float = 0.06) -> float:
-            return float(np.exp(rng.normal(0.0, scale)))
+        """One observed plan for ``txn``; dict keyed by plan feature name.
+
+        Each estimate carries a log-normal jitter ``exp(scale * z)``.  The
+        standard normals ``z`` are drawn in two batches around the two
+        Poisson counts, which takes the generator through the same
+        values, in the same order, as one ``rng.normal(0.0, scale)`` per
+        estimate.
+        """
+        early = np.exp(
+            SCALES_BEFORE_COUNTS
+            * rng.standard_normal(len(SCALES_BEFORE_COUNTS))
+        ).tolist()
+        rebinds = float(rng.poisson(0.15))
+        rewinds = float(rng.poisson(0.1))
+        late = np.exp(
+            SCALES_AFTER_COUNTS * rng.standard_normal(len(SCALES_AFTER_COUNTS))
+        ).tolist()
 
         complexity = txn.plan_complexity
         desired_kb = txn.memory_grant_mb * 1024.0
-        available_kb = self._available_memory_grant_kb()
-        granted_kb = min(desired_kb, available_kb) * jitter(0.03)
-        compile_cpu_ms = 1.8 * complexity**1.7 * jitter(0.1)
+        available_kb = self._available_kb
+        granted_kb = min(desired_kb, available_kb) * early[0]
+        compile_cpu_ms = 1.8 * complexity**1.7 * early[1]
         cached_pages = (
             self.workload.working_set_gb * 1024.0 * 1024.0 / PAGE_KB
         ) * min(1.0, self.sku.memory_gb * 0.75 / self.workload.working_set_gb)
         est_io = 0.0008 * (txn.logical_reads + 2.0 * txn.logical_writes)
         est_cpu = 0.0012 * txn.cpu_ms * max(txn.rows_scanned, 1.0) ** 0.1
         row = {
-            "StatementEstRows": txn.rows_touched * jitter(0.12),
-            "StatementSubTreeCost": (est_io + est_cpu) * jitter(0.08),
+            "StatementEstRows": txn.rows_touched * early[2],
+            "StatementSubTreeCost": (est_io + est_cpu) * early[3],
             "CompileCPU": compile_cpu_ms,
-            "TableCardinality": txn.table_cardinality * jitter(0.02),
-            "SerialDesiredMemory": desired_kb * jitter(0.05),
-            "SerialRequiredMemory": 0.25 * desired_kb * jitter(0.05),
-            "MaxCompileMemory": 180.0 * complexity * jitter(0.08),
-            "EstimateRebinds": float(rng.poisson(0.15)),
-            "EstimateRewinds": float(rng.poisson(0.1)),
-            "EstimatedPagesCached": cached_pages * jitter(0.04),
+            "TableCardinality": txn.table_cardinality * early[4],
+            "SerialDesiredMemory": desired_kb * early[5],
+            "SerialRequiredMemory": 0.25 * desired_kb * early[6],
+            "MaxCompileMemory": 180.0 * complexity * early[7],
+            "EstimateRebinds": rebinds,
+            "EstimateRewinds": rewinds,
+            "EstimatedPagesCached": cached_pages * late[0],
             "EstimatedAvailableDegreeOfParallelism": self._available_dop(),
-            "EstimatedAvailableMemoryGrant": available_kb * jitter(0.02),
-            "CachedPlanSize": (16.0 + 26.0 * complexity) * jitter(0.05),
-            "AvgRowSize": txn.row_size_bytes * jitter(0.04),
-            "CompileMemory": 110.0 * complexity * jitter(0.08),
-            "EstimateRows": txn.rows_touched * jitter(0.1),
-            "EstimateIO": est_io * jitter(0.08),
-            "CompileTime": compile_cpu_ms * 1.25 * jitter(0.08),
+            "EstimatedAvailableMemoryGrant": available_kb * late[1],
+            "CachedPlanSize": (16.0 + 26.0 * complexity) * late[2],
+            "AvgRowSize": txn.row_size_bytes * late[3],
+            "CompileMemory": 110.0 * complexity * late[4],
+            "EstimateRows": txn.rows_touched * late[5],
+            "EstimateIO": est_io * late[6],
+            "CompileTime": compile_cpu_ms * 1.25 * late[7],
             "GrantedMemory": granted_kb,
-            "EstimateCPU": est_cpu * jitter(0.08),
-            "MaxUsedMemory": 0.8 * granted_kb * jitter(0.06),
-            "EstimatedRowsRead": txn.rows_scanned * jitter(0.1),
+            "EstimateCPU": est_cpu * late[8],
+            "MaxUsedMemory": 0.8 * granted_kb * late[9],
+            "EstimatedRowsRead": txn.rows_scanned * late[10],
         }
         return row
 

@@ -96,6 +96,23 @@ class TestStackedForms:
         assert batched.tolist() == per_slice(name, A, B)
 
     @pytest.mark.parametrize("name", STACKED)
+    @pytest.mark.parametrize("n_pairs", [1, 64])
+    @pytest.mark.parametrize(
+        "shape", [(8, 1), (9, 1), (10, 1), (11, 1), (12, 1), (10, 7), (1, 7)]
+    )
+    def test_both_reduction_layouts_equal_scalar(self, name, n_pairs, shape):
+        # The scalar sums a single column of 8 or more rows pairwise, so
+        # L2,1 keeps its pair-major reduction there; other shapes add rows
+        # experiment-minor.  A stack of one pair takes the same layouts.
+        # Entries of one magnitude let the order of the additions show in
+        # the last bits, where a wide dynamic range would hide it.
+        rng = np.random.default_rng(100 * n_pairs + sum(shape))
+        A = rng.normal(size=(n_pairs, *shape))
+        B = rng.normal(size=(n_pairs, *shape))
+        batched = BATCHED_NORMS[NORMS[name]](A, B)
+        assert batched.tolist() == per_slice(name, A, B)
+
+    @pytest.mark.parametrize("name", STACKED)
     def test_same_validation_errors_as_scalar(self, name):
         scalar, batched = NORMS[name], BATCHED_NORMS[NORMS[name]]
         for fn, a, b in (

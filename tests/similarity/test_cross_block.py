@@ -10,6 +10,8 @@ peak) every pair is computed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.similarity.evaluation import (
     representation_matrices,
 )
 from repro.similarity.measures import get_measure
+from repro.similarity.norms import DIFFERENCE_NORMS
 from repro.similarity.representations import RepresentationBuilder
 from repro.workloads.repository import ExperimentRepository
 
@@ -85,20 +88,28 @@ def n_pairs(matrices):
     return len(matrices) * (len(matrices) - 1) // 2
 
 
-@pytest.fixture()
-def metrics():
+@contextmanager
+def fresh_metrics():
     registry = MetricsRegistry()
     previous = set_metrics(registry)
-    yield registry
-    set_metrics(previous)
+    try:
+        yield registry
+    finally:
+        set_metrics(previous)
+
+
+@pytest.fixture()
+def metrics():
+    with fresh_metrics() as registry:
+        yield registry
 
 
 def counted(registry, name):
     return int(registry.counter(name).value) if name in registry else 0
 
 
-@pytest.fixture()
-def engine_calls(monkeypatch):
+@contextmanager
+def recorded_engine():
     """The pair lists of every ``_pair_distances`` call, in order."""
     calls = []
     original = evaluation._pair_distances
@@ -107,8 +118,59 @@ def engine_calls(monkeypatch):
         calls.append([tuple(pair) for pair in pairs.tolist()])
         return original(matrices, pairs, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "_pair_distances", recording)
-    return calls
+    evaluation._pair_distances = recording
+    try:
+        yield calls
+    finally:
+        evaluation._pair_distances = original
+
+
+@pytest.fixture()
+def engine_calls():
+    with recorded_engine() as calls:
+        yield calls
+
+
+def dense_pair_lists(matrices, labels, measure):
+    """The two calls' pair lists and the pruned count by the dense rule.
+
+    The first call is the cross block and every pair touching a pivot,
+    from an ``n x n`` mask.  Every other pair gets the triangle bound
+    ``min_p D[p, i] + D[p, j]`` over the pivot rows of the ``n x n``
+    matrix of first-call distances, widened by the slack of
+    ``normalized_cross_block``, and is computed when its bound is not
+    below the first call's peak.  Measures that are not a norm of the
+    difference bound nothing.  The corpora share one shape.
+    """
+    n, n_references = len(matrices), len(labels)
+    _, firsts = np.unique(labels, return_index=True)
+    pivots = np.append(np.sort(firsts), n_references)
+    computed = np.zeros((n, n), dtype=bool)
+    computed[:n_references, n_references:] = True
+    computed[pivots] = True
+    computed[:, pivots] = True
+    first = np.argwhere(np.triu(computed, 1))
+    D = np.zeros((n, n))
+    for i, j in first.tolist():
+        D[i, j] = D[j, i] = measure(matrices[i], matrices[j])
+    peak = D[tuple(first.T)].max()
+    bounds = np.full((n, n), np.inf)
+    if measure.func in DIFFERENCE_NORMS:
+        through = D[pivots[0]][:, None] + D[pivots[0]][None, :]
+        for row in D[pivots[1:]]:
+            np.minimum(through, row[:, None] + row[None, :], out=through)
+        size = matrices[0].size
+        rounding = (size + 4) * np.finfo(float).eps / 2
+        delta = rounding / (1 - rounding)
+        bounds = through * (1 + 4 * delta) + 5 * size * 2.0**-537
+    rest = np.triu(~computed, 1)
+    needed = rest & ~(bounds < peak)
+    pruned = int(np.count_nonzero(rest)) - int(np.count_nonzero(needed))
+    return (
+        [tuple(pair) for pair in first.tolist()],
+        [tuple(pair) for pair in np.argwhere(needed).tolist()],
+        pruned,
+    )
 
 
 @st.composite
@@ -118,7 +180,9 @@ def grouped_corpora(draw):
     Members scatter around a group center by a drawn spread, at a drawn
     magnitude: from subnormal squares to squares that overflow.  The
     references come in a drawn order, so a group's runs need not be
-    contiguous and its first run (its pivot) can be anywhere.
+    contiguous and its first run (its pivot) can be anywhere.  Some
+    corpora are one matrix repeated, and some hold NaN or infinite
+    entries in drawn matrices, pivots or not.
     """
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -142,6 +206,20 @@ def grouped_corpora(draw):
     order = draw(st.permutations(range(len(references))))
     references = [references[k] for k in order]
     matrices = [M for _, M in references] + groups[-1]
+    special = draw(st.sampled_from(["none", "identical", "nan", "inf"]))
+    if special == "identical":
+        matrices = [matrices[0].copy() for _ in matrices]
+    elif special != "none":
+        values = [np.nan] if special == "nan" else [np.inf, -np.inf]
+        positions = draw(
+            st.lists(st.integers(0, len(matrices) - 1), min_size=1,
+                     max_size=3, unique=True)
+        )
+        for position in positions:
+            entry = (draw(st.integers(0, shape[0] - 1)),
+                     draw(st.integers(0, shape[1] - 1)))
+            matrices[position] = matrices[position].copy()
+            matrices[position][entry] = draw(st.sampled_from(values))
     return matrices, [label for label, _ in references]
 
 
@@ -153,6 +231,22 @@ class TestExactness:
     def test_random_grouped_corpora(self, name, corpus):
         matrices, labels = corpus
         assert_exact(matrices, labels, get_measure(name))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", NORM_MEASURES)
+    @given(corpus=grouped_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_and_pruned_count_match_dense_bounds(self, name, corpus):
+        # Block bounds only decide where per-pair bounds are computed, so
+        # the pairs computed and pruned are the dense rule's; an empty
+        # second pair list makes no engine call.
+        matrices, labels = corpus
+        measure = get_measure(name)
+        first, second, pruned = dense_pair_lists(matrices, labels, measure)
+        with recorded_engine() as calls, fresh_metrics() as registry:
+            normalized_cross_block(matrices, labels, measure)
+        assert calls == ([first, second] if second else [first])
+        assert counted(registry, "similarity.pairs_pruned_total") == pruned
 
     @pytest.mark.parametrize("name", NORM_MEASURES)
     def test_peak_in_a_reference_pair_is_found_by_the_second_call(
@@ -195,6 +289,41 @@ class TestExactness:
         block = normalized_cross_block(matrices, ["r"] * 3, measure)
         assert engine_calls[1] == [(1, 2)]
         assert_full_block(block, matrices, ["r"] * 3, measure)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-530])
+    @pytest.mark.parametrize("name", NORM_MEASURES)
+    def test_slack_covers_a_block_of_one_pair(
+        self, name, scale, engine_calls
+    ):
+        # The triangle of the test above, with the pivot P repeated as the
+        # first run of a second workload that B joins: the block between
+        # the two workloads is the one pair (A, B), and its bound is that
+        # pair's, so only the slack of the block bound sends it on.
+        measure = get_measure(name)
+        p, b, t = tight_triangle(measure, scale)
+        matrices = [p, np.zeros_like(b), p.copy(), b, t]
+        labels = ["a", "a", "b", "b"]
+        block = normalized_cross_block(matrices, labels, measure)
+        assert engine_calls[1] == [(1, 3)]
+        assert_full_block(block, matrices, labels, measure)
+
+    @pytest.mark.parametrize("name", NORM_MEASURES)
+    def test_pairs_between_workloads_put_the_lower_index_first(
+        self, name, engine_calls
+    ):
+        # As the reference-pair test above, with the "b" runs first: the
+        # block between "a" and "b" pairs each later "a" run with earlier
+        # "b" runs, and the peak pair is still (3, 7).
+        a = [np.full((3, 2), -1.0 - 0.1 * k) for k in range(4)]
+        b = [np.full((3, 2), 1.0 + 0.1 * k) for k in range(4)]
+        target = [np.full((3, 2), 0.05 * k) for k in range(3)]
+        matrices = b + a + target
+        labels = ["b"] * 4 + ["a"] * 4
+        measure = get_measure(name)
+        block = normalized_cross_block(matrices, labels, measure)
+        assert (3, 7) in engine_calls[1]
+        assert all(i < j for i, j in engine_calls[1])
+        assert_full_block(block, matrices, labels, measure)
 
     def test_first_call_is_the_cross_block_and_the_pivot_pairs(
         self, engine_calls

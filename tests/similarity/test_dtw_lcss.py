@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ValidationError
 from repro.similarity.dtw import (
@@ -9,7 +12,11 @@ from repro.similarity.dtw import (
     lb_keogh,
     multivariate_dtw,
 )
-from repro.similarity.lcss import lcss_distance, multivariate_lcss
+from repro.similarity.lcss import (
+    _lcss_length,
+    lcss_distance,
+    multivariate_lcss,
+)
 
 
 class TestUnivariateDTW:
@@ -164,3 +171,56 @@ class TestLCSS:
     def test_univariate_wrapper_rejects_matrices(self, rng):
         with pytest.raises(ValidationError):
             lcss_distance(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
+
+
+def antidiagonal_lcss_length(A, B, epsilon, delta):
+    """The reference LCSS program: the table filled one anti-diagonal at a
+    time from ``table[i - 1, j - 1] + 1`` on a match and
+    ``max(table[i - 1, j], table[i, j - 1])`` otherwise."""
+    m, n = A.shape[0], B.shape[0]
+    matches = np.all(np.abs(A[:, None, :] - B[None, :, :]) <= epsilon, axis=2)
+    if delta is not None:
+        window = np.abs(np.arange(m)[:, None] - np.arange(n)[None, :])
+        matches &= window <= delta
+    table = np.zeros((m + 1, n + 1), dtype=int)
+    for diagonal in range(2, m + n + 1):
+        i = np.arange(max(1, diagonal - n), min(m, diagonal - 1) + 1)
+        j = diagonal - i
+        table[i, j] = np.where(
+            matches[i - 1, j - 1],
+            table[i - 1, j - 1] + 1,
+            np.maximum(table[i - 1, j], table[i, j - 1]),
+        )
+    return int(table[m, n])
+
+
+@st.composite
+def lcss_cases(draw):
+    """Two series of 1-39 samples in 1-3 dimensions, with samples from a
+    coarse grid so matches are common, NaN samples, and a ``delta``
+    window that may be narrower or wider than either series."""
+    dims = draw(st.integers(1, 3))
+    samples = st.one_of(
+        st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 1.0]), st.just(np.nan)
+    )
+    A, B = (
+        draw(
+            arrays(
+                np.float64, (draw(st.integers(1, 39)), dims), elements=samples
+            )
+        )
+        for _ in range(2)
+    )
+    epsilon = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.0]))
+    delta = draw(st.one_of(st.none(), st.integers(0, 45)))
+    return A, B, epsilon, delta
+
+
+class TestLCSSProgram:
+    @given(case=lcss_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_antidiagonals(self, case):
+        A, B, epsilon, delta = case
+        assert _lcss_length(A, B, epsilon, delta) == antidiagonal_lcss_length(
+            A, B, epsilon, delta
+        )
