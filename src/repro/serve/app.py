@@ -5,7 +5,12 @@ HTTP layer (:mod:`repro.serve.server`) parses the request and calls
 :meth:`ServeApp.handle`, tests call it directly.  ``handle`` walks the
 hot path:
 
-1. digest the request (:func:`repro.serve.protocol.request_digest`);
+1. decode the target once, on the caller's thread
+   (:func:`repro.serve.protocol.decode_experiments`; a malformed or
+   non-finite target is a 400 here, sync or async), and digest the
+   request with the target replaced by its decoded experiments'
+   content addresses (:func:`~repro.serve.protocol.experiment_digest`,
+   then :func:`~repro.serve.protocol.request_digest`);
 2. **tier 1** — the in-process LRU :class:`ResponseCache`; a hit
    answers without touching the pipeline;
 3. **single-flight** — concurrent identical misses coalesce onto one
@@ -17,7 +22,8 @@ hot path:
    batch on the scheduler thread — rank targets share a single
    multi-query kernel fan-out, predict targets walk the pruned index —
    with persisted Distance/Fit caches absorbing repeated sub-work and
-   the persistent worker pool running what remains.
+   the persistent worker pool running what remains.  The decoded
+   target travels with the request, so the scheduler never decodes.
 
 The single scheduler thread serializes engine work because the
 engine's telemetry capture swaps the process-global metrics registry —
@@ -54,6 +60,7 @@ from repro.serve.protocol import (
     SERVE_FORMAT_VERSION,
     app_identity,
     decode_experiments,
+    experiment_digest,
     request_digest,
 )
 from repro.workloads.repository import ExperimentRepository
@@ -185,14 +192,7 @@ class ServeApp:
             raise ServeError("request body must be a JSON object")
         if self._shutdown:
             return 503, {"error": "server is shutting down"}
-        try:
-            digest = request_digest(self.identity, endpoint, payload)
-        except ServeError:
-            # Canonical JSON refuses NaN and infinities without saying
-            # where they are; a target carrying one gets the decoder's
-            # error, which names the experiment, field and position.
-            decode_experiments(payload.get("target"), what="target")
-            raise
+        target, digest = self._address(endpoint, payload)
         if payload.get("mode") == "async":
             job = self.jobs.submit(digest, endpoint, payload)
             get_metrics().counter("serve.async_submissions_total").inc()
@@ -201,7 +201,7 @@ class ServeApp:
                 "job_id": job.job_id,
                 "status": job.status,
             }
-        result, tier = self._cached_compute(digest, endpoint, payload)
+        result, tier = self._cached_compute(digest, endpoint, payload, target)
         return 200, {
             "digest": digest,
             "result": result,
@@ -209,21 +209,39 @@ class ServeApp:
         }
 
     # -- the hot path ----------------------------------------------------------
-    def _cached_compute(self, digest, endpoint, payload) -> tuple[dict, str]:
+    def _address(self, endpoint: str, payload: dict) -> tuple[list, str]:
+        """Decode the target; digest the request by the decoded content.
+
+        The target's JSON is replaced by one content address per decoded
+        experiment, so the digest never re-encodes the samples; the
+        other keys are hashed as canonical JSON.
+        """
+        target = decode_experiments(payload.get("target"), what="target")
+        addressed = {
+            **payload,
+            "target": [experiment_digest(result) for result in target],
+        }
+        return target, request_digest(self.identity, endpoint, addressed)
+
+    def _cached_compute(
+        self, digest, endpoint, payload, target
+    ) -> tuple[dict, str]:
         """Tiered lookup; returns ``(result, cache_tier)``."""
         cached = self.response_cache.get(digest)
         if cached is not None:
             return cached, "memory"
         result, leader = self.single_flight.run(
-            digest, lambda: self._compute(digest, endpoint, payload)
+            digest, lambda: self._compute(digest, endpoint, payload, target)
         )
         return result, "compute" if leader else "coalesced"
 
-    def _compute(self, digest: str, endpoint: str, payload: dict) -> dict:
+    def _compute(
+        self, digest: str, endpoint: str, payload: dict, target: list
+    ) -> dict:
         """Tier 2/3: admit to the batch scheduler, then populate tier 1."""
         started = time.perf_counter()
         get_metrics().counter("serve.pipeline_executions_total").inc()
-        result = self.batcher.submit(digest, endpoint, payload)
+        result = self.batcher.submit(digest, endpoint, payload, target=target)
         self.response_cache.put(digest, result)
         self._ledger_row(endpoint, digest, time.perf_counter() - started)
         return result
@@ -231,9 +249,10 @@ class ServeApp:
     def _execute_batch(self, items) -> None:
         """One admitted batch, on the scheduler thread.
 
-        Decode and validation run per item — a malformed request in a
-        batch fails alone, exactly as it would have serially.  The
-        surviving rank targets share **one** multi-query kernel fan-out
+        Each item arrives with its target decoded; preparation and
+        validation run per item — a bad request in a batch fails alone,
+        exactly as it would have serially.  The surviving rank targets
+        share **one** multi-query kernel fan-out
         (:meth:`~repro.serve.service.PredictionService.rank_prepared`,
         bit-identical per target to ranking it alone); predict targets
         walk the pruned reference index per item.
@@ -249,11 +268,7 @@ class ServeApp:
                     },
                 ):
                     try:
-                        target = ExperimentRepository(
-                            decode_experiments(
-                                item.payload.get("target"), what="target"
-                            )
-                        )
+                        target = ExperimentRepository(item.target)
                         if item.endpoint == "/v1/rank":
                             item.extra = self.service.prepare_target(target)
                             rank_items.append(item)
@@ -279,8 +294,8 @@ class ServeApp:
 
     def _compute_for_job(self, endpoint: str, payload: dict) -> dict:
         """The job queue's compute hook — same tiers as sync requests."""
-        digest = request_digest(self.identity, endpoint, payload)
-        result, _tier = self._cached_compute(digest, endpoint, payload)
+        target, digest = self._address(endpoint, payload)
+        result, _tier = self._cached_compute(digest, endpoint, payload, target)
         return result
 
     def _ledger_row(self, endpoint, digest, elapsed_s: float) -> None:

@@ -20,7 +20,13 @@ as its baseline.
 Batching never changes answers: the executor computes each item's
 response with the same per-item math as the serial path (the
 multi-query kernel is bit-identical per query), and per-item failures
-are per-item — one malformed request in a batch 400s alone.
+are per-item — one bad request in a batch (an unknown SKU, say) 400s
+alone.
+
+Items arrive decoded: the app decodes and digests each target on the
+caller's thread before admission (``BatchItem.target``), so the
+scheduler thread, which every item of a batch waits on, runs only
+preparation, the kernel and the model.
 
 Observability: ``serve.batch.size`` histogram and
 ``serve.batch.flush_{window,full,drain}_total`` counters explain every
@@ -41,21 +47,28 @@ logger = get_logger(__name__)
 
 
 class BatchItem:
-    """One admitted request waiting for (or holding) its result."""
+    """One admitted request waiting for (or holding) its result.
+
+    ``target`` is the request's target as the app decoded it at the
+    edge, on the caller's thread; the executor reads it, so the
+    scheduler thread never decodes.
+    """
 
     __slots__ = (
-        "digest", "endpoint", "payload", "done", "result", "error", "extra",
+        "digest", "endpoint", "payload", "target", "done", "result",
+        "error", "extra",
     )
 
-    def __init__(self, digest: str, endpoint: str, payload: dict):
+    def __init__(self, digest: str, endpoint: str, payload: dict, target):
         self.digest = digest
         self.endpoint = endpoint
         self.payload = payload
+        self.target = target
         self.done = threading.Event()
         self.result = None
         self.error: BaseException | None = None
-        #: Scratch slot for the executor (decoded target, prepared
-        #: matrices) — never read by the scheduler.
+        #: Scratch slot for the executor (prepared matrices) — never
+        #: read by the scheduler.
         self.extra = None
 
     def fail(self, error: BaseException) -> None:
@@ -99,9 +112,9 @@ class BatchScheduler:
         self._thread.start()
 
     # -- submission ------------------------------------------------------------
-    def submit(self, digest: str, endpoint: str, payload: dict):
+    def submit(self, digest: str, endpoint: str, payload: dict, *, target=None):
         """Enqueue one request and block until its batch executed."""
-        item = BatchItem(digest, endpoint, payload)
+        item = BatchItem(digest, endpoint, payload, target)
         with self._cond:
             if self._closed:
                 raise ServeError("batch scheduler is closed")

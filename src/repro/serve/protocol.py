@@ -14,6 +14,17 @@ change routing but not the *answer* (currently only ``mode``, which
 selects sync vs async delivery) are stripped before hashing, so an
 async resubmission of a sync request hits the same cache entry.
 
+The target is addressed by what it decodes to, not by how it was
+spelled: the app decodes it first and hashes the payload with
+``"target"`` replaced by one :func:`experiment_digest` per experiment.
+That digest hashes the scalar fields as canonical JSON and each array
+by :func:`~repro.exec.arrays.float64_digest` (shape plus bytes), the
+content address the distance and fit caches already use.  Hashing
+the arrays' bytes costs a small fraction of re-encoding every sample
+as JSON text, and requests whose numbers are spelled differently
+(``1000.0``, ``1e3``) but decode to the same experiments share a
+digest.
+
 The **application identity** folds in everything server-side that
 changes answers: the format version, the resolved pipeline
 configuration, and the digest of the reference-corpus file.  Restart
@@ -27,7 +38,9 @@ import hashlib
 import json
 
 from repro.exceptions import ServeError
+from repro.exec.arrays import float64_digest
 from repro.workloads.repository import (
+    ARRAY_FIELDS,
     ensure_finite,
     result_from_dict,
     result_to_dict,
@@ -119,6 +132,21 @@ def decode_experiments(entries, *, what: str) -> list:
         except Exception as exc:
             raise ServeError(f"{what}[{position}] is malformed: {exc}")
     return results
+
+
+def experiment_digest(result) -> str:
+    """The content address of one decoded experiment.
+
+    The canonical JSON of its wire form with each array field replaced
+    by its :func:`~repro.exec.arrays.float64_digest`: experiments that
+    decode to equal values share a digest however their numbers were
+    spelled, and any decoded bit, shape or scalar that differs changes
+    it.
+    """
+    fields = result_to_dict(result, arrays=False)
+    for name in ARRAY_FIELDS:
+        fields[name] = float64_digest(getattr(result, name))
+    return payload_digest(fields)
 
 
 def encode_experiment(result) -> dict:

@@ -38,25 +38,44 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     # -- request plumbing ------------------------------------------------------
-    def _read_payload(self):
-        # A body this handler does not read would be parsed as the next
-        # keep-alive request, so every rejected length closes the
-        # connection after the 400.
-        declared = self.headers.get("Content-Length", "0")
+    def _read_payload(self, method: str):
+        """``(payload, None)``, or ``(None, (status, error))`` to refuse.
+
+        Bodies are framed by ``Content-Length`` only.  A body this
+        handler does not read would be parsed as the next keep-alive
+        request, so every refusal of a body or of its framing closes
+        the connection: a chunked body (411), a bad or repeated length,
+        a body on a method that takes none, or an oversized one (400).
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            return None, (
+                411,
+                "Transfer-Encoding is not supported; "
+                "send the body with a Content-Length",
+            )
+        lengths = self.headers.get_all("Content-Length", [])
+        if len(lengths) > 1:
+            self.close_connection = True
+            return None, (400, f"more than one Content-Length: {lengths!r}")
+        declared = lengths[0] if lengths else "0"
         if not (declared.isascii() and declared.isdigit()):
             self.close_connection = True
-            return None, f"invalid Content-Length {declared!r}"
+            return None, (400, f"invalid Content-Length {declared!r}")
         length = int(declared)
         if length == 0:
             return None, None
+        if method != "POST":
+            self.close_connection = True
+            return None, (400, f"{method} requests take no body")
         if length > MAX_BODY_BYTES:
             self.close_connection = True
-            return None, f"request body exceeds {MAX_BODY_BYTES} bytes"
+            return None, (400, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = self.rfile.read(length)
         try:
             return json.loads(body), None
         except json.JSONDecodeError as exc:
-            return None, f"request body is not valid JSON: {exc}"
+            return None, (400, f"request body is not valid JSON: {exc}")
 
     def _respond(self, status: int, body, content_type: str) -> None:
         payload = (
@@ -73,11 +92,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _dispatch(self, method: str) -> None:
-        payload, error = (None, None)
-        if method == "POST":
-            payload, error = self._read_payload()
-        if error is not None:
-            self._respond(400, {"error": error}, "application/json")
+        payload, refusal = self._read_payload(method)
+        if refusal is not None:
+            status, error = refusal
+            self._respond(status, {"error": error}, "application/json")
             return
         status, body, content_type = self.server.app.handle(
             method, self.path, payload

@@ -136,7 +136,7 @@ def _result_from_dict(payload: dict) -> ExperimentResult:
             per_txn_weights=dict(payload["per_txn_weights"]),
             bottleneck=payload["bottleneck"],
             subsample_index=payload.get("subsample_index"),
-            metadata=payload.get("metadata", {}),
+            metadata=dict(payload.get("metadata", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise RepositoryError(f"malformed experiment payload: {exc}") from exc

@@ -50,6 +50,12 @@ def systematic_subexperiments(
     if n_queries == 0:
         raise ValidationError("experiment has no plan observations")
     plan_obs = len(names) // n_queries
+    # Window noise scales: the workload's latency first, then each
+    # transaction type's in the result's order.
+    scales = np.array(
+        [WORKLOAD_WINDOW_SIGMA]
+        + [PER_TXN_WINDOW_SIGMA] * len(result.per_txn_latency_ms)
+    )
     subexperiments = []
     for offset in range(n_subexperiments):
         resource = result.resource_series[offset::n_subexperiments]
@@ -60,16 +66,19 @@ def systematic_subexperiments(
         plan_names = names[start : start + n_queries]
         sub_throughput = float(throughput.mean())
         # Deterministic per-(experiment, offset) stream for the window
-        # sampling noise, so sub-experiments are reproducible.
+        # sampling noise, so sub-experiments are reproducible.  The
+        # vector draw equals ``normal(0.0, sigma)`` drawn once per value.
         seed = zlib.crc32(f"{result.experiment_id}#{offset}".encode())
         window_rng = np.random.default_rng(seed)
-        latency_ms = result.latency_ms * float(
-            np.exp(window_rng.normal(0.0, WORKLOAD_WINDOW_SIGMA))
-        )
+        factors = np.exp(
+            scales * window_rng.standard_normal(len(scales))
+        ).tolist()
+        latency_ms = result.latency_ms * factors[0]
         per_txn = {
-            name: value
-            * float(np.exp(window_rng.normal(0.0, PER_TXN_WINDOW_SIGMA)))
-            for name, value in result.per_txn_latency_ms.items()
+            name: value * factor
+            for (name, value), factor in zip(
+                result.per_txn_latency_ms.items(), factors[1:]
+            )
         }
         subexperiments.append(
             clone_with(

@@ -216,12 +216,28 @@ class WorkloadSpec:
         return float(weights @ flags)
 
     def mix_mean(self, attribute: str) -> float:
-        """Weight-averaged value of a :class:`TransactionType` attribute."""
-        weights = self.weights
-        values = np.array(
-            [float(getattr(t, attribute)) for t in self.transactions]
-        )
-        return float(weights @ values)
+        """Weight-averaged value of a :class:`TransactionType` attribute.
+
+        The spec is frozen, so each mean is computed once and kept in a
+        per-instance memo outside the dataclass fields: equality, hash,
+        ``repr`` and ``to_dict`` never see it, and pickles leave it out
+        (:meth:`__getstate__`).  The engine's models ask for a few of
+        these on every simulated run.
+        """
+        means = self.__dict__.setdefault("_mix_means", {})
+        mean = means.get(attribute)
+        if mean is None:
+            values = np.array(
+                [float(getattr(t, attribute)) for t in self.transactions]
+            )
+            mean = means[attribute] = float(self.weights @ values)
+        return mean
+
+    def __getstate__(self) -> dict:
+        """The fields only: a pickle is the same with or without memos."""
+        state = dict(self.__dict__)
+        state.pop("_mix_means", None)
+        return state
 
     def transaction(self, name: str) -> TransactionType:
         """Look up a transaction type by name."""

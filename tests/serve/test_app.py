@@ -14,10 +14,12 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.exceptions import RepositoryError
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.serve import app as app_module
 from repro.serve.app import ServeApp
 from repro.serve.service import PredictionService
 from repro.workloads import ExperimentRepository, run_experiments, twitter
 from repro.workloads.repository import result_from_dict, result_to_dict
+from tests.serve.test_protocol import respelled
 
 
 @pytest.fixture
@@ -152,6 +154,83 @@ class TestCacheTiers:
         finally:
             a.shutdown(drain_timeout=10.0)
             b.shutdown(drain_timeout=10.0)
+
+
+class TestDecodedTargets:
+    def test_decoded_once_per_post_on_the_callers_thread(
+        self, app, target_payload, monkeypatch
+    ):
+        threads = []
+        decode = app_module.decode_experiments
+
+        def recording_decode(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(app_module, "decode_experiments", recording_decode)
+        tiers = []
+        for endpoint, payload in (
+            ("/v1/rank", rank_payload(target_payload)),
+            ("/v1/rank", rank_payload(target_payload)),
+            ("/v1/predict", predict_payload(target_payload)),
+        ):
+            status, body, _ = app.handle("POST", endpoint, payload)
+            assert status == 200
+            tiers.append(body["meta"]["cache_tier"])
+        assert tiers == ["compute", "memory", "compute"]
+        assert threads == [threading.current_thread()] * 3
+
+    def test_respelled_target_is_a_memory_hit(self, app, target_payload):
+        status, cold, _ = app.handle(
+            "POST", "/v1/rank", rank_payload(target_payload)
+        )
+        assert status == 200
+        assert cold["meta"]["cache_tier"] == "compute"
+        entries = json.loads(respelled(target_payload))
+        status, warm, _ = app.handle("POST", "/v1/rank", rank_payload(entries))
+        assert status == 200
+        assert warm["meta"]["cache_tier"] == "memory"
+        assert warm["digest"] == cold["digest"]
+        assert warm["result"] == cold["result"]
+
+    def test_one_ulp_apart_is_two_computations(self, app, target_payload):
+        entries = copy.deepcopy(target_payload)
+        value = entries[0]["plan_matrix"][2][5]
+        entries[0]["plan_matrix"][2][5] = math.nextafter(value, math.inf)
+        bodies = []
+        for target in (target_payload, entries):
+            status, body, _ = app.handle(
+                "POST", "/v1/rank", rank_payload(target)
+            )
+            assert status == 200
+            assert body["meta"]["cache_tier"] == "compute"
+            bodies.append(body)
+        assert bodies[0]["digest"] != bodies[1]["digest"]
+
+    @pytest.mark.parametrize("metadata", ["x", [1, 2]])
+    def test_metadata_that_is_not_an_object_is_400(
+        self, app, target_payload, metadata
+    ):
+        """The digest re-encodes each decoded experiment's scalar fields,
+        so the decoder must refuse what that encoding cannot take."""
+        entries = copy.deepcopy(target_payload)
+        entries[0]["metadata"] = metadata
+        status, body, _ = app.handle("POST", "/v1/rank", rank_payload(entries))
+        assert status == 400
+        assert body["error"].startswith("target[0] is malformed")
+
+    def test_malformed_async_target_is_400_without_a_job(
+        self, app, target_payload, tmp_path
+    ):
+        entries = copy.deepcopy(target_payload)
+        del entries[0]["plan_matrix"]
+        status, body, _ = app.handle(
+            "POST", "/v1/rank", rank_payload(entries, mode="async")
+        )
+        assert status == 400
+        assert body["error"].startswith("target[0] is malformed")
+        assert len(app.jobs) == 0
+        assert not (tmp_path / "jobs.jsonl").exists()
 
 
 class TestSingleFlight:

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.config import PipelineConfig
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve.app import ServeApp
 from repro.serve.protocol import canonical_json
 from repro.serve.service import PredictionService
@@ -187,3 +188,39 @@ class TestAppLevelParity:
             assert sorted(statuses) == [200, 200, 400]
         finally:
             app.shutdown(drain_timeout=10.0)
+
+    def test_mixed_batch_isolates_a_request_failing_in_the_batch(
+        self, warm_service, payloads
+    ):
+        """A malformed target is refused before admission; an unknown
+        SKU is not, and must fail alone inside a batch it shares."""
+        previous = set_metrics(MetricsRegistry())
+        # The batch flushes when the third request joins it.
+        app = ServeApp(
+            warm_service,
+            references_digest="refs",
+            batch_window_ms=30_000.0,
+            max_batch=3,
+        )
+        try:
+            requests = [
+                ("/v1/rank", payloads[0]),
+                (
+                    "/v1/predict",
+                    {**payloads[0], "source_sku": "s4", "target_sku": "s1024"},
+                ),
+                ("/v1/rank", payloads[1]),
+            ]
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [
+                    pool.submit(app.handle, "POST", endpoint, body)
+                    for endpoint, body in requests
+                ]
+                answers = [future.result() for future in futures]
+            batches = get_metrics().snapshot()["serve.batch.size"]
+        finally:
+            app.shutdown(drain_timeout=10.0)
+            set_metrics(previous)
+        assert [status for status, _, _ in answers] == [200, 400, 200]
+        assert "s1024" in answers[1][1]["error"]
+        assert (batches["count"], batches["sum"]) == (1, 3.0)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ServeError
@@ -14,11 +17,14 @@ from repro.serve.protocol import (
     canonical_json,
     decode_experiments,
     encode_experiment,
+    experiment_digest,
     file_digest,
     payload_digest,
     request_digest,
 )
-from repro.workloads.repository import results_equal
+from repro.workloads import SKU
+from repro.workloads.repository import ARRAY_FIELDS, results_equal
+from repro.workloads.runner import ExperimentResult
 
 
 def test_canonical_json_is_key_order_independent():
@@ -93,3 +99,109 @@ def test_decode_experiments_rejects_non_finite(serve_target, value):
     )
     with pytest.raises(ServeError, match=re.escape(message)):
         decode_experiments(payload, what="target")
+
+
+def respelled(value, *, in_array: bool = False) -> str:
+    """JSON text of ``value`` with every object's keys in reverse order
+    and each array number spelled ``format(x, ".17e")``, or as an
+    integer where that parses back to the same float (``1`` for
+    ``1.0``)."""
+    if isinstance(value, dict):
+        members = [
+            f"{json.dumps(key)}:{respelled(item, in_array=key in ARRAY_FIELDS)}"
+            for key, item in reversed(list(value.items()))
+        ]
+        return "{" + ", ".join(members) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(respelled(v, in_array=in_array) for v in value) + "]"
+    if in_array and isinstance(value, float):
+        if value.is_integer() and repr(float(int(value))) == repr(value):
+            return str(int(value))
+        return format(value, ".17e")
+    return json.dumps(value)
+
+
+def changed(value):
+    """A value of ``value``'s type that differs from it in one place."""
+    if isinstance(value, np.ndarray):
+        other = value.copy()
+        other.flat[0] = np.nextafter(other.flat[0], np.inf)
+        return other
+    if isinstance(value, SKU):
+        return dataclasses.replace(value, cpus=value.cpus + 1)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return math.nextafter(value, math.inf)
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return [*value[:-1], value[-1] + "x"]
+    if isinstance(value, dict):
+        if value:
+            first = next(iter(value))
+            return {**value, first: changed(value[first])}
+        return {"note": "added"}
+    if value is None:
+        return 0
+    raise TypeError(f"no change defined for {type(value).__name__}")
+
+
+class TestExperimentDigest:
+    def test_same_for_reordered_keys_and_respelled_numbers(self, serve_target):
+        payload = [encode_experiment(result) for result in serve_target]
+        payload[0]["plan_matrix"][0][0] = 1.0
+        payload[0]["throughput_series"][0] = 1234.5
+        text = respelled(payload)
+        assert '"plan_matrix":[[1,' in text
+        assert '"throughput_series":[1.23450000000000000e+03,' in text
+        # Hashing the parsed JSON would tell the two apart: 1 is an int.
+        assert canonical_json(json.loads(text)) != canonical_json(payload)
+        original = decode_experiments(payload, what="target")
+        again = decode_experiments(json.loads(text), what="target")
+        assert [experiment_digest(r) for r in again] == [
+            experiment_digest(r) for r in original
+        ]
+
+    def test_changes_with_every_field(self, serve_target):
+        base = serve_target[0]
+        digests = {experiment_digest(base)}
+        for field in dataclasses.fields(ExperimentResult):
+            value = changed(getattr(base, field.name))
+            other = dataclasses.replace(base, **{field.name: value})
+            digest = experiment_digest(other)
+            assert digest not in digests, field.name
+            digests.add(digest)
+
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_changes_with_one_ulp(self, serve_target, name):
+        base = serve_target[0]
+        values = getattr(base, name).copy()
+        position = (values.size // 2,)
+        flat = values.reshape(-1)
+        flat[position] = np.nextafter(flat[position], -np.inf)
+        other = dataclasses.replace(base, **{name: values})
+        assert experiment_digest(other) != experiment_digest(base)
+
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_changes_with_the_sign_of_zero(self, serve_target, name):
+        base = serve_target[0]
+        positive = getattr(base, name).copy()
+        positive.reshape(-1)[0] = 0.0
+        negative = positive.copy()
+        negative.reshape(-1)[0] = -0.0
+        assert np.array_equal(positive, negative)
+        assert experiment_digest(
+            dataclasses.replace(base, **{name: positive})
+        ) != experiment_digest(dataclasses.replace(base, **{name: negative}))
+
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_changes_with_the_shape(self, serve_target, name):
+        base = serve_target[0]
+        values = getattr(base, name)
+        reshaped = values.reshape(-1) if values.ndim > 1 else values[:, None]
+        assert reshaped.tobytes() == values.tobytes()
+        other = dataclasses.replace(base, **{name: reshaped})
+        assert experiment_digest(other) != experiment_digest(base)

@@ -155,6 +155,97 @@ def test_bad_content_length_is_400_and_closes(declared):
     assert raw.count(b"HTTP/1.1 ") == 1
 
 
+class _RecordingApp(_StubApp):
+    """A stub app that remembers every request that reached it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def handle(self, method, path, payload):
+        self.calls.append((method, path))
+        return super().handle(method, path, payload)
+
+
+def _send_raw(app, request: bytes) -> bytes:
+    """Everything a fresh server answers to ``request`` on one socket,
+    read until the server closes it."""
+    server = make_server(app, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(request)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    return raw
+
+
+def test_chunked_body_is_411_and_closes():
+    """A chunked body is not framed by this server; treated as bodiless,
+    it would be parsed as the next keep-alive request (here a second
+    request the app would answer too)."""
+    app = _RecordingApp()
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    raw = _send_raw(
+        app,
+        b"POST /v1/rank HTTP/1.1\r\nHost: localhost\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        + f"{len(smuggled):x}\r\n".encode() + smuggled + b"\r\n0\r\n\r\n",
+    )
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 411 ")
+    assert b"\r\nConnection: close" in head
+    assert "Transfer-Encoding" in json.loads(body)["error"]
+    assert raw.count(b"HTTP/1.1 ") == 1
+    assert app.calls == []
+
+
+def test_repeated_content_length_is_400_and_closes():
+    """Framed by the first of two lengths, the body would be parsed as
+    the next keep-alive request."""
+    app = _RecordingApp()
+    smuggled = b"GET /v1/jobs/x HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    raw = _send_raw(
+        app,
+        b"POST /v1/rank HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Length: 0\r\n"
+        + f"Content-Length: {len(smuggled)}\r\n\r\n".encode()
+        + smuggled,
+    )
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert "more than one Content-Length" in json.loads(body)["error"]
+    assert raw.count(b"HTTP/1.1 ") == 1
+    assert app.calls == []
+
+
+def test_body_on_get_is_400_and_closes():
+    """Only POST bodies are read; a body on any other method is refused
+    before it can be parsed as the next keep-alive request."""
+    app = _RecordingApp()
+    smuggled = b"GET /v1/jobs/x HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    raw = _send_raw(
+        app,
+        b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+        + f"Content-Length: {len(smuggled)}\r\n\r\n".encode()
+        + smuggled,
+    )
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert "GET requests take no body" in json.loads(body)["error"]
+    assert raw.count(b"HTTP/1.1 ") == 1
+    assert app.calls == []
+
+
 #: Soft open-file limit the CLI server must boot under.  Far below the
 #: common 1024 default, so per-reference file descriptors would show.
 FD_SOFT_LIMIT = 256

@@ -42,17 +42,30 @@ wide = st.floats(min_value=-1e200, max_value=1e200, allow_nan=False)
 
 @st.composite
 def stack_pairs(draw):
-    """Two ``(P, r, c)`` stacks: random, identical, or all-zero pairs,
-    over shapes that include single rows and single columns."""
+    """Two ``(P, r, c)`` stacks: random, identical, all-zero, or
+    one-magnitude pairs, over shapes that include single rows and single
+    columns.  Entries of one magnitude let the order of the additions
+    show in the last bits; across a wide range one square dominates
+    each sum and hides it."""
     rows, cols = draw(
         st.one_of(
-            st.tuples(st.integers(1, 12), st.just(1)),
+            # A single column is summed pairwise from 8 rows on.
+            st.tuples(st.integers(1, 7), st.just(1)),
+            st.tuples(st.integers(8, 12), st.just(1)),
             st.tuples(st.just(1), st.integers(1, 12)),
             st.tuples(st.integers(1, 12), st.integers(1, 12)),
         )
     )
+    kind = draw(
+        st.sampled_from(["random", "identical", "zero", "one-magnitude"])
+    )
+    if kind == "one-magnitude":
+        # Many pairs per stack: each is a fresh chance for a reduction
+        # in another order to round differently.
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (64, rows, cols)
+        return rng.normal(size=shape), rng.normal(size=shape)
     shape = (draw(st.integers(1, 5)), rows, cols)
-    kind = draw(st.sampled_from(["random", "identical", "zero"]))
     if kind == "zero":
         return np.zeros(shape), np.zeros(shape)
     A = draw(arrays(np.float64, shape, elements=wide))

@@ -1,8 +1,15 @@
+import functools
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.workloads import SKU, ExperimentRunner, workload_by_name
+from repro.workloads.catalog import WORKLOAD_NAMES
 from repro.workloads.sampling import (
+    PER_TXN_WINDOW_SIGMA,
+    WORKLOAD_WINDOW_SIGMA,
     augmented_throughputs,
     random_downsample,
     systematic_subexperiments,
@@ -68,6 +75,53 @@ class TestSystematicSubexperiments:
     def test_invalid_count(self, tpcc_run):
         with pytest.raises(ValidationError):
             systematic_subexperiments(tpcc_run, n_subexperiments=0)
+
+
+@functools.lru_cache(maxsize=None)
+def short_run(name: str, seed: int):
+    """One ten-minute run of a catalog workload (60 samples)."""
+    runner = ExperimentRunner(workload_by_name(name), random_state=seed)
+    return runner.run(
+        SKU(cpus=4, memory_gb=16.0), terminals=4, duration_s=600.0
+    )
+
+
+def window_noise_one_draw_at_a_time(result, n_subexperiments):
+    """The reference: one ``normal`` draw, ``np.exp`` and ``float`` per
+    value, as each window's noise was drawn before it was batched."""
+    noise = []
+    for offset in range(n_subexperiments):
+        seed = zlib.crc32(f"{result.experiment_id}#{offset}".encode())
+        window_rng = np.random.default_rng(seed)
+        latency_ms = result.latency_ms * float(
+            np.exp(window_rng.normal(0.0, WORKLOAD_WINDOW_SIGMA))
+        )
+        per_txn = {
+            name: value
+            * float(np.exp(window_rng.normal(0.0, PER_TXN_WINDOW_SIGMA)))
+            for name, value in result.per_txn_latency_ms.items()
+        }
+        noise.append((latency_ms, per_txn))
+    return noise
+
+
+class TestWindowNoise:
+    @pytest.mark.parametrize("n_subexperiments", [1, 3, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_equals_one_draw_at_a_time(self, name, seed, n_subexperiments):
+        result = short_run(name, seed)
+        subs = systematic_subexperiments(
+            result, n_subexperiments=n_subexperiments
+        )
+        expected = window_noise_one_draw_at_a_time(result, n_subexperiments)
+        assert len(subs) == len(expected)
+        for sub, (latency_ms, per_txn) in zip(subs, expected):
+            assert repr(sub.latency_ms) == repr(latency_ms)
+            assert list(sub.per_txn_latency_ms) == list(per_txn)
+            assert [repr(v) for v in sub.per_txn_latency_ms.values()] == [
+                repr(v) for v in per_txn.values()
+            ]
 
 
 class TestRandomDownsample:

@@ -1,8 +1,19 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.workloads.catalog import WORKLOAD_NAMES, workload_by_name
 from repro.workloads.spec import TransactionType, WorkloadSpec, WorkloadType
+
+#: The numeric cost fields of a transaction profile.
+NUMERIC_FIELDS = [
+    field.name
+    for field in dataclasses.fields(TransactionType)
+    if field.type == "float"
+]
 
 
 def make_txn(**overrides):
@@ -118,6 +129,40 @@ class TestWorkloadSpec:
             ]
         )
         assert spec.mix_mean("cpu_ms") == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_mix_means_equal_a_fresh_computation(self, name):
+        """Memoized means keep the arithmetic, before and after a pickle
+        round trip, and a spec pickles the same with or without them."""
+        spec = workload_by_name(name)
+        fresh_pickle = pickle.dumps(spec)
+
+        def computed(attribute):
+            values = [float(getattr(t, attribute)) for t in spec.transactions]
+            return float(spec.weights @ np.array(values))
+
+        assert {"weight", "cpu_ms", "hot_spot_affinity"} <= set(NUMERIC_FIELDS)
+        for each in (spec, pickle.loads(fresh_pickle)):
+            for attribute in NUMERIC_FIELDS:
+                expected = computed(attribute)
+                assert each.mix_mean(attribute) == expected
+                assert each.mix_mean(attribute) == expected
+            assert each == spec
+            assert hash(each) == hash(spec)
+            assert repr(each) == repr(spec)
+            assert each.to_dict() == spec.to_dict()
+            assert pickle.dumps(each) == fresh_pickle
+
+    def test_mix_mean_of_an_unknown_attribute_raises(self):
+        spec = make_workload([make_txn()])
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                spec.mix_mean("no_such_field")
+
+    def test_weights_is_a_fresh_array(self):
+        spec = make_workload([make_txn(name="a"), make_txn(name="b")])
+        spec.weights[0] = 9.0
+        np.testing.assert_array_equal(spec.weights, [0.5, 0.5])
 
     def test_transaction_lookup(self):
         spec = make_workload([make_txn(name="x")])
