@@ -14,14 +14,13 @@ HTTP/JSON service where that repeated work is paid once:
   requests;
 - :mod:`repro.serve.service` — the warm pipeline state: features
   selected once, a representation builder frozen on the references,
-  reference matrices built once, scaling models memoized per
-  (reference, SKU pair);
-- :mod:`repro.serve.index` — the warmup-time reference index: matrix
-  content digests, workload groups in tie-break order, LB_Keogh
-  envelopes / norm values for the pruned predict path;
+  reference matrices and their workload groups built once, scaling
+  models memoized per (reference, SKU pair); ``/v1/predict`` transfers
+  from the nearest reference of the ranking ``/v1/rank`` answers with;
 - :mod:`repro.serve.batcher` — the cold-path micro-batch admission
   queue: concurrent distinct requests execute as one batch on a single
-  scheduler thread (one multi-query kernel fan-out per batch);
+  scheduler thread (one multi-query kernel fan-out for a batch's rank
+  requests);
 - :mod:`repro.serve.jobs` — the journal-backed async job queue behind
   ``{"mode": "async"}`` submissions (202 + job id, restart-resumable);
 - :mod:`repro.serve.app` — the transport-free request handler: routes,
@@ -37,7 +36,6 @@ See ``docs/serving.md`` for the API schema and the cache-tier design.
 from repro.serve.app import ServeApp
 from repro.serve.batcher import BatchScheduler
 from repro.serve.cache import ResponseCache, SingleFlight
-from repro.serve.index import ReferenceIndex
 from repro.serve.jobs import Job, JobQueue
 from repro.serve.loadgen import LoadGenerator, http_json
 from repro.serve.protocol import (
@@ -53,7 +51,6 @@ __all__ = [
     "BatchScheduler",
     "Job",
     "JobQueue",
-    "ReferenceIndex",
     "LoadGenerator",
     "PredictionServer",
     "PredictionService",

@@ -20,10 +20,11 @@ hot path:
    :class:`~repro.serve.batcher.BatchScheduler`: concurrent *distinct*
    cold requests admitted within one batch window execute as **one**
    batch on the scheduler thread — rank targets share a single
-   multi-query kernel fan-out, predict targets walk the pruned index —
-   with persisted Distance/Fit caches absorbing repeated sub-work and
-   the persistent worker pool running what remains.  The decoded
-   target travels with the request, so the scheduler never decodes.
+   multi-query kernel fan-out, each predict target is ranked alone and
+   transfers from its nearest reference — with persisted Distance/Fit
+   caches absorbing repeated sub-work and the persistent worker pool
+   running what remains.  The decoded target travels with the
+   request, so the scheduler never decodes.
 
 The single scheduler thread serializes engine work because the
 engine's telemetry capture swaps the process-global metrics registry —
@@ -254,8 +255,9 @@ class ServeApp:
         exactly as it would have serially.  The surviving rank targets
         share **one** multi-query kernel fan-out
         (:meth:`~repro.serve.service.PredictionService.rank_prepared`,
-        bit-identical per target to ranking it alone); predict targets
-        walk the pruned reference index per item.
+        bit-identical per target to ranking it alone); each predict
+        target is ranked alone, and its nearest reference's scaling
+        model transferred, per item.
         """
         with span("serve.batch", attrs={"size": len(items)}):
             rank_items = []

@@ -13,9 +13,10 @@ it joins the batch; the batch flushes when the window closes, when it
 reaches ``max_batch``, or on drain — and executes as **one** call, so a
 batch of Q rank queries costs one multi-query kernel fan-out
 (:func:`repro.similarity.evaluation.multi_query_cross_distances`)
-instead of Q sequential ones.  ``max_batch=1`` reproduces the old
-serialized behavior exactly, which is what the cold-path benchmark uses
-as its baseline.
+instead of Q sequential ones.  A predict request ranks its target
+alone, through the same kernel, before its model transfer.
+``max_batch=1`` reproduces the old serialized behavior exactly, which
+is what the cold-path benchmark uses as its baseline.
 
 Batching never changes answers: the executor computes each item's
 response with the same per-item math as the serial path (the

@@ -48,9 +48,9 @@ from repro.workloads.repository import (
 
 #: Bumped whenever the request/response schema changes shape; part of
 #: every request digest, so a schema change invalidates cached answers.
-#: v2: ``/v1/predict`` responses dropped the embedded ``"ranking"`` —
-#: prediction now finds the nearest reference through the pruned index
-#: without materializing the full ranking.
+#: v2: ``/v1/predict`` responses dropped the embedded ``"ranking"``;
+#: they name the nearest reference of the ranking ``/v1/rank`` answers
+#: with for the same target.
 SERVE_FORMAT_VERSION = 2
 
 #: Payload keys that select delivery, not computation; stripped before

@@ -16,13 +16,17 @@ once at warmup, plus serving-only state:
   and defeat the distance cache; freezing on the (much larger)
   reference corpus keeps reference matrices — and their content
   digests — stable across requests, so cross-distance pairs hit the
-  persisted :class:`~repro.similarity.distcache.DistanceCache`.
-  Normalization is a monotone per-feature rescale, so the *ordering*
-  the ranking reads off the distances is the paper's;
-- **reference matrices** are built once and indexed
-  (:class:`~repro.serve.index.ReferenceIndex`): content digests for
-  the distance-cache pre-pass, workload groups, pruning bounds.
+  persisted :class:`~repro.similarity.distcache.DistanceCache`.  The
+  frozen ranges are not the paper's, which come from every experiment
+  compared: a target value outside them clips, and a different range
+  can move samples across histogram bins, so nothing guarantees the
+  batch pipeline's ordering;
+- **reference matrices** are built once, with their workload groups in
+  corpus order (the order ties resolve in) and, when a distance cache
+  is configured, their content digests.
 
+Both endpoints read one ranking: ``/v1/rank`` answers with it and
+``/v1/predict`` transfers the scaling model of its nearest reference.
 Prediction calls the batch pipeline's
 :func:`~repro.core.pipeline.transfer` with a fresh seeded generator per
 request, so serving the same request twice — or on servers with
@@ -39,13 +43,12 @@ from repro.core.report import SimilarityRanking
 from repro.exceptions import ServeError, ValidationError
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span
-from repro.serve.index import ReferenceIndex
+from repro.similarity.distcache import matrix_digest
 from repro.similarity.evaluation import (
     multi_query_cross_distances,
     representation_matrices,
 )
 from repro.similarity.measures import get_measure
-from repro.similarity.pruning import nearest_group
 from repro.similarity.representations import RepresentationBuilder
 from repro.utils.rng import as_generator
 from repro.workloads.corpus import expand_subexperiments
@@ -107,21 +110,21 @@ class PredictionService:
                 features=self.features,
                 samples=samples,
             )
-            self._ref_labels = np.asarray(
-                [r.workload_name for r in self._ref_subexp]
-            )
             self._sku_by_name = {
                 r.sku.name: r.sku for r in self.references
             }
-            # Index the frozen reference side once: content digests for
-            # the distance-cache pre-pass, workload groups in corpus
-            # order, and pruning envelopes/norms.
-            self.index = ReferenceIndex.build(
-                self._ref_matrices,
-                self._ref_labels,
-                list(self.references.workload_names()),
-                self._measure,
-            )
+            # Workload groups in corpus order, the order ties resolve in.
+            labels = np.asarray([r.workload_name for r in self._ref_subexp])
+            self._groups = [
+                (name, np.flatnonzero(labels == name).tolist())
+                for name in self.references.workload_names()
+            ]
+            # Only the distance cache's pre-pass reads the digests.
+            self._ref_digests = None
+            if self._pipeline.distance_cache is not None:
+                self._ref_digests = [
+                    matrix_digest(M) for M in self._ref_matrices
+                ]
         self._warm = True
         logger.info(
             "serve warmup: %d reference experiments (%d expanded), "
@@ -202,11 +205,11 @@ class PredictionService:
         ):
             blocks = multi_query_cross_distances(
                 [matrices for _, matrices in prepared],
-                self.index.matrices,
+                self._ref_matrices,
                 self._measure,
                 jobs=self.config.jobs,
                 cache=self._pipeline.distance_cache,
-                col_digests=self.index.digests,
+                col_digests=self._ref_digests,
             )
             rankings = []
             for (target_name, _), C in zip(prepared, blocks):
@@ -218,7 +221,7 @@ class PredictionService:
                     C = C / peak
                 distances = {
                     reference: float(C[:, members].mean())
-                    for reference, members in self.index.groups
+                    for reference, members in self._groups
                 }
                 rankings.append(
                     SimilarityRanking(target=target_name, distances=distances)
@@ -237,32 +240,16 @@ class PredictionService:
         """Rank reference workloads by mean distance to the target."""
         return self.rank_prepared([self.prepare_target(target)])[0]
 
-    def nearest_reference(self, target_matrices: list[np.ndarray]) -> str:
-        """Nearest reference workload via the pruned group cascade.
+    def nearest_reference(
+        self, prepared: tuple[str, list[np.ndarray]]
+    ) -> str:
+        """Nearest reference workload of one prepared target.
 
-        Prediction needs only the *identity* of the nearest reference,
-        so instead of the full cross-distance matrix this walks
-        :func:`~repro.similarity.pruning.nearest_group` over the
-        precomputed index: groups whose lower-bound mean (LB_Kim +
-        precomputed LB_Keogh envelopes for Dependent-DTW, reverse
-        triangle inequality over precomputed norms for norm-induced
-        measures) already loses are skipped without one exact distance.
-        The [0, 1] peak normalization the full ranking applies is a
-        monotone rescale, so the nearest group is the same — ties
-        included, because groups are scanned in the corpus's workload
-        order with strict-improvement replacement, the same first-wins
-        rule :meth:`~repro.core.report.SimilarityRanking.nearest`
-        applies (pinned by ``tests/serve/test_index.py``).
+        It is the nearest of the ranking ``/v1/rank`` answers with, so
+        ties resolve first in corpus order, through
+        :attr:`~repro.core.report.SimilarityRanking.nearest`.
         """
-        self._require_warm()
-        return nearest_group(
-            target_matrices,
-            self.index.matrices,
-            self.index.groups,
-            self._measure,
-            envelopes=self.index.envelopes,
-            norms=self.index.norms,
-        )
+        return self.rank_prepared([prepared])[0].nearest
 
     # -- prediction ------------------------------------------------------------
     def resolve_sku(self, name: str):
@@ -286,22 +273,22 @@ class PredictionService:
         source_sku_name: str,
         target_sku_name: str,
     ) -> dict:
-        """Find the nearest reference (pruned), transfer its scaling model.
+        """Transfer the scaling model of the target's nearest reference.
 
-        Returns the JSON-ready response body.  The model comes from the
-        catalog and the prediction from
+        Returns the JSON-ready response body.  The nearest reference is
+        the one ``/v1/rank`` ranks first for the same target
+        (:meth:`nearest_reference`); the response names it but carries
+        no ``"ranking"`` field (format version 2).  The model comes from
+        the catalog and the prediction from
         :func:`~repro.core.pipeline.transfer`, as in
         :meth:`~repro.core.pipeline.WorkloadPredictionPipeline.predict_scaling`.
-        Unlike ``/v1/rank`` this never materializes the full
-        cross-distance matrix — the pruned group cascade finds the same
-        nearest reference while skipping most exact distances — so the
-        response carries no ``"ranking"`` field (format version 2).
         """
         self._require_warm()
         source_sku = self.resolve_sku(source_sku_name)
         target_sku = self.resolve_sku(target_sku_name)
-        target_name, target_matrices = self.prepare_target(target)
-        reference_name = self.nearest_reference(target_matrices)
+        prepared = self.prepare_target(target)
+        target_name = prepared[0]
+        reference_name = self.nearest_reference(prepared)
         with span(
             "serve.predict",
             attrs={

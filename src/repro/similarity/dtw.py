@@ -5,14 +5,13 @@ Shokoohi-Yekta et al. [83]: *independent* DTW sums per-dimension DTW
 distances, *dependent* DTW warps all dimensions jointly using squared
 Euclidean local costs.
 
-Fast-path machinery for the pairwise-distance engine
-(:mod:`repro.similarity.evaluation`) and the pruned nearest-group
-search (:mod:`repro.similarity.pruning`) lives here too:
+Two kinds of helper live here too:
 
 - :func:`lb_kim` and :func:`lb_keogh` are cheap lower bounds on the
   dependent-DTW distance — a candidate whose bound already exceeds the
   best distance found so far never needs the full dynamic program;
-- :func:`batch_dependent_costs` computes the local-cost matrices for a
+- :func:`batch_dependent_costs` computes the local-cost matrices of the
+  pairwise-distance engine (:mod:`repro.similarity.evaluation`) for a
   whole stack of equal-shape pairs in one vectorized pass.
 """
 
@@ -186,39 +185,6 @@ def _envelope(
     lower = windows_min.min(axis=-1)[:n_queries]
     upper = windows_max.max(axis=-1)[:n_queries]
     return lower, upper
-
-
-def keogh_envelope(B) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputable unconstrained-band LB_Keogh envelope of ``B``.
-
-    With no Sakoe-Chiba band every query sample may align with any
-    sample of ``B``, so the envelope collapses to the global
-    per-dimension ``(min, max)`` — independent of the query length,
-    which is what makes it precomputable once per reference series
-    (the serving :class:`~repro.serve.index.ReferenceIndex` stores one
-    per reference matrix).  Feed the result to
-    :func:`lb_keogh_from_envelope`.
-    """
-    B = _as_mts(B, "B")
-    return B.min(axis=0), B.max(axis=0)
-
-
-def lb_keogh_from_envelope(A, lower: np.ndarray, upper: np.ndarray) -> float:
-    """LB_Keogh from a precomputed :func:`keogh_envelope`.
-
-    Bit-identical to ``lb_keogh(A, B)`` (unconstrained band) when
-    ``(lower, upper)`` is ``keogh_envelope(B)``: broadcasting the 1-D
-    envelope against ``A`` performs element-for-element the same float
-    operations as the materialized envelope in :func:`lb_keogh`
-    (pinned by ``tests/similarity/test_pruned_group.py``).
-    """
-    A = _as_mts(A, "A")
-    if A.shape[1] != lower.shape[-1]:
-        raise ValidationError(
-            f"feature dimensions differ: {A.shape[1]} vs {lower.shape[-1]}"
-        )
-    exceed = np.maximum(0.0, np.maximum(A - upper, lower - A))
-    return float(np.sqrt(np.sum(exceed**2)))
 
 
 def lb_keogh(A, B, *, window: int | None = None) -> float:

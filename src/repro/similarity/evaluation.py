@@ -245,8 +245,8 @@ def _pair_distances(
     """Distances of ``pairs``, an ``(m, 2)`` index array into ``matrices``.
 
     The one pair engine behind :func:`distance_matrix`,
-    :func:`cross_distance_matrix`, :func:`multi_query_cross_distances`
-    and :func:`normalized_cross_block`.  A measure with a stacked form
+    :func:`multi_query_cross_distances` and
+    :func:`normalized_cross_block`.  A measure with a stacked form
     over ``matrices`` (:func:`_stacked_form`) computes every pair in
     process (:func:`_stacked_distances`), with no chunk tasks or pool,
     whatever ``n_workers`` says, and no ``cache`` lookups: it computes
@@ -387,47 +387,6 @@ def distance_matrix(
     return D
 
 
-def cross_distance_matrix(
-    rows: list[np.ndarray],
-    cols: list[np.ndarray],
-    measure: MeasureSpec,
-    *,
-    jobs: int | None = None,
-    cache: "DistanceCache | str | None" = None,
-) -> np.ndarray:
-    """Distances between two matrix sets: ``C[i, j] = d(rows[i], cols[j])``.
-
-    The serving hot path ranks a submitted target against a fixed
-    reference corpus, which needs only the ``len(rows) x len(cols)``
-    cross block — not the full symmetric matrix over the union that
-    :func:`distance_matrix` computes.  The in-process norms, chunk
-    layout, worker fan-out, and the content-addressed ``cache`` follow
-    :func:`distance_matrix` exactly, so output is bit-identical at any
-    worker count and cached pairs are shared with the batch path (the
-    pair key is symmetric).
-    """
-    if not rows or not cols:
-        raise ValidationError("cross_distance_matrix needs non-empty sets")
-    n_workers = resolve_jobs(jobs)
-    with span(
-        "similarity.cross_distance_matrix",
-        attrs={
-            "n_rows": len(rows),
-            "n_cols": len(cols),
-            "measure": measure.name,
-            "workers": n_workers,
-        },
-    ):
-        values = _pair_distances(
-            list(rows) + list(cols),
-            _cross_pairs(len(rows), len(cols), len(rows)),
-            measure,
-            n_workers,
-            DistanceCache.coerce(cache),
-        )
-    return values.reshape(len(rows), len(cols))
-
-
 def multi_query_cross_distances(
     query_sets: list[list[np.ndarray]],
     cols: list[np.ndarray],
@@ -439,20 +398,20 @@ def multi_query_cross_distances(
 ) -> list[np.ndarray]:
     """Cross-distance blocks for many queries against one column set.
 
-    ``result[q]`` is bit-identical to
-    ``cross_distance_matrix(query_sets[q], cols, measure, ...)`` — each
-    per-pair value is a pure function of the pair (the batched
-    contractions are bit-identical per slice to the per-pair path), so
-    stitching every query's pairs into **one** engine call cannot
-    change any value, only the wall-clock cost: a batch of Q queries x
-    R references is one engine dispatch instead of Q
-    (``tests/similarity/test_multi_query.py`` pins the equality across
-    batch sizes and worker counts).
+    ``result[q][i, j]`` is the distance of ``query_sets[q][i]`` to
+    ``cols[j]``.  Each per-pair value is a pure function of the pair
+    (the batched contractions are bit-identical per slice to the
+    per-pair path), so stitching every query's pairs into **one**
+    engine call cannot change any value, only the wall-clock cost: a
+    batch of Q queries x R references is one engine dispatch instead of
+    Q.  ``tests/similarity/test_multi_query.py`` pins each block
+    against the same pairs of :func:`distance_matrix` over the query
+    and the columns, across batch sizes and worker counts.
 
     ``col_digests`` lets callers that froze ``cols`` ahead of time (the
-    serving :class:`~repro.serve.index.ReferenceIndex`) skip re-hashing
-    the reference matrices on every request; when given it must align
-    with ``cols``.
+    serving :class:`~repro.serve.service.PredictionService`, when a
+    distance cache is configured) skip re-hashing the reference
+    matrices on every request; when given it must align with ``cols``.
     """
     if not query_sets:
         raise ValidationError(

@@ -132,8 +132,14 @@ def _result_from_dict(payload: dict) -> ExperimentResult:
             plan_txn_names=list(payload["plan_txn_names"]),
             throughput=float(payload["throughput"]),
             latency_ms=float(payload["latency_ms"]),
-            per_txn_latency_ms=dict(payload["per_txn_latency_ms"]),
-            per_txn_weights=dict(payload["per_txn_weights"]),
+            per_txn_latency_ms={
+                name: float(value)
+                for name, value in dict(payload["per_txn_latency_ms"]).items()
+            },
+            per_txn_weights={
+                name: float(value)
+                for name, value in dict(payload["per_txn_weights"]).items()
+            },
             bottleneck=payload["bottleneck"],
             subsample_index=payload.get("subsample_index"),
             metadata=dict(payload.get("metadata", {})),

@@ -38,6 +38,11 @@ class TestSimilarityRanking:
     def test_nearest(self, ranking):
         assert ranking.nearest == "tpcc"
 
+    def test_tie_keeps_the_earlier_entry(self):
+        # The earlier entry wins, not the smaller name.
+        ranking = SimilarityRanking("t", {"b": 0.5, "a": 0.5, "c": 0.7})
+        assert ranking.nearest == "b"
+
     def test_empty_ranking_raises(self):
         with pytest.raises(ValidationError):
             SimilarityRanking(target="x", distances={}).nearest

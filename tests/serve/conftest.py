@@ -1,4 +1,4 @@
-"""Shared serving fixtures: a small two-SKU corpus and a warm service.
+"""Shared serving fixtures: a small two-SKU corpus, targets, a warm service.
 
 Session-scoped because warmup (feature selection + builder fit +
 reference matrices) is the expensive part and every test treats the
@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.serve.service import PredictionService
 from repro.workloads import SKU, run_experiments, tpcc, twitter, ycsb
+from repro.workloads.catalog import production_workload, standard_workloads
 from repro.workloads.repository import result_to_dict
 
 
@@ -47,6 +48,22 @@ def serve_target(serve_skus):
         duration_s=600.0,
         random_state=1,
     )
+
+
+@pytest.fixture(scope="session")
+def catalog_targets(serve_skus):
+    """One single-workload target corpus per catalog workload."""
+    targets = {}
+    for spec in list(standard_workloads()) + [production_workload()]:
+        targets[spec.name] = run_experiments(
+            [spec],
+            [serve_skus[0]],
+            terminals_for=lambda w: (4,),
+            n_runs=1,
+            duration_s=600.0,
+            random_state=2,
+        )
+    return targets
 
 
 @pytest.fixture(scope="session")

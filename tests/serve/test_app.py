@@ -207,6 +207,30 @@ class TestDecodedTargets:
             bodies.append(body)
         assert bodies[0]["digest"] != bodies[1]["digest"]
 
+    def test_integer_per_type_latencies_are_a_memory_hit(
+        self, app, target_payload
+    ):
+        """Per-type latencies decode as floats, so ``2`` and ``2.0``
+        address one target."""
+        bodies = []
+        for value in (2.0, 2):
+            entries = copy.deepcopy(target_payload)
+            for entry in entries:
+                entry["per_txn_latency_ms"] = dict.fromkeys(
+                    entry["per_txn_latency_ms"], value
+                )
+            status, body, _ = app.handle(
+                "POST", "/v1/rank", rank_payload(entries)
+            )
+            assert status == 200
+            bodies.append(body)
+        cold, warm = bodies
+        assert [cold["meta"]["cache_tier"], warm["meta"]["cache_tier"]] == [
+            "compute", "memory",
+        ]
+        assert warm["digest"] == cold["digest"]
+        assert warm["result"] == cold["result"]
+
     @pytest.mark.parametrize("metadata", ["x", [1, 2]])
     def test_metadata_that_is_not_an_object_is_400(
         self, app, target_payload, metadata
@@ -344,8 +368,9 @@ class TestNonFiniteTargets:
     def test_error_names_experiment_field_and_position(
         self, app, target_payload, endpoint, value
     ):
-        """The canonical-JSON request digest refuses the payload before
-        any decoding; the answer still carries the decoder's message."""
+        """The app decodes the target before it digests anything, and
+        the decoder's message names the experiment, field and
+        position."""
         entries = copy.deepcopy(target_payload)
         entries[0]["resource_series"][3][1] = value
         payload = (

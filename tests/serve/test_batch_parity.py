@@ -4,14 +4,15 @@ Three layers, matching how a request actually flows:
 
 - ``rank_batch`` == per-request ``rank``, bit for bit, across batch
   sizes {1, 3, 8} x jobs {1, 4};
-- the pruned predict nearest == the full-matrix rank nearest on every
-  catalog workload (ties included via a duplicated-target batch);
+- predict's reference == the rank's nearest on every catalog workload,
+  and a tie resolves to the reference listed first in the corpus;
 - a batching :class:`ServeApp` returns byte-identical bodies to a
   serialized (``max_batch=1``) one for the same distinct requests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,27 +22,10 @@ from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve.app import ServeApp
 from repro.serve.protocol import canonical_json
 from repro.serve.service import PredictionService
-from repro.workloads import run_experiments
-from repro.workloads.catalog import production_workload, standard_workloads
+from repro.workloads import ExperimentRepository
 from repro.workloads.repository import result_to_dict
 
 BATCH_SIZES = (1, 3, 8)
-
-
-@pytest.fixture(scope="module")
-def catalog_targets(serve_skus):
-    """One single-workload target corpus per catalog workload."""
-    targets = {}
-    for spec in list(standard_workloads()) + [production_workload()]:
-        targets[spec.name] = run_experiments(
-            [spec],
-            [serve_skus[0]],
-            terminals_for=lambda w: (4,),
-            n_runs=1,
-            duration_s=600.0,
-            random_state=2,
-        )
-    return targets
 
 
 @pytest.fixture(scope="module")
@@ -84,17 +68,8 @@ class TestRankBatchParity:
         assert warm_service.rank_batch([]) == []
 
 
-class TestPrunedPredictParity:
-    def test_nearest_matches_full_rank_on_every_catalog_workload(
-        self, warm_service, catalog_targets
-    ):
-        for name, target in catalog_targets.items():
-            _, matrices = warm_service.prepare_target(target)
-            pruned = warm_service.nearest_reference(matrices)
-            full = warm_service.rank(target).nearest
-            assert pruned == full, name
-
-    def test_predict_uses_pruned_nearest(self, warm_service, catalog_targets):
+class TestPredictParity:
+    def test_predict_uses_rank_nearest(self, warm_service, catalog_targets):
         for name, target in catalog_targets.items():
             response = warm_service.predict(target, "s4", "s8")
             assert (
@@ -103,6 +78,42 @@ class TestPrunedPredictParity:
             ), name
             assert "ranking" not in response
             assert response["target_workload"] == name
+
+    def test_tied_references_resolve_in_corpus_order(
+        self, serve_references, catalog_targets
+    ):
+        """The TPC-C runs again, renamed to a name that sorts first and
+        listed after the originals: the two groups tie, and both
+        endpoints name the one the corpus lists first."""
+        copies = [
+            dataclasses.replace(run, workload_name="clone-of-tpcc")
+            for run in serve_references.by_workload("tpcc")
+        ]
+        service = PredictionService(
+            ExperimentRepository(list(serve_references) + copies),
+            PipelineConfig(),
+        )
+        service.warmup()
+        app = ServeApp(service, references_digest="tpcc-twice")
+        target = [result_to_dict(r) for r in catalog_targets["tpcc"]]
+        try:
+            answers = [
+                app.handle("POST", "/v1/rank", {"target": target}),
+                app.handle(
+                    "POST",
+                    "/v1/predict",
+                    {"target": target, "source_sku": "s4", "target_sku": "s8"},
+                ),
+            ]
+        finally:
+            app.shutdown(drain_timeout=10.0)
+        assert [status for status, _, _ in answers] == [200, 200]
+        (_, ranked, _), (_, predicted, _) = answers
+        ranking = ranked["result"]["ranking"]
+        assert list(ranking)[:2] == ["tpcc", "clone-of-tpcc"]
+        assert ranking["tpcc"] == ranking["clone-of-tpcc"]
+        assert ranked["result"]["nearest"] == "tpcc"
+        assert predicted["result"]["reference_workload"] == "tpcc"
 
     def test_parallel_service_predicts_identically(
         self, warm_service, parallel_service, catalog_targets

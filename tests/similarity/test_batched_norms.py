@@ -3,10 +3,9 @@
 Every stacked form in ``BATCHED_NORMS`` must equal its scalar function
 on each slice with ``==`` — not within a tolerance — because the
 distance kernels swap one for the other based on the input alone.  The
-three kernels and ``nearest_group`` must then equal a per-pair loop at
-any worker count, with and without a distance cache, and inputs the
-stacked path cannot reproduce exactly (mixed shapes, other layouts)
-must take the per-pair path.
+kernels must then equal a per-pair loop at any worker count, with and
+without a distance cache, and inputs the stacked path cannot reproduce
+exactly (mixed shapes, other layouts) must take the per-pair path.
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.similarity import evaluation
 from repro.similarity.distcache import DistanceCache, matrix_digest
 from repro.similarity.evaluation import (
-    cross_distance_matrix,
     distance_matrix,
     multi_query_cross_distances,
     normalized_cross_block,
 )
 from repro.similarity.measures import get_measure
 from repro.similarity.norms import BATCHED_NORMS, NORMS
-from repro.similarity.pruning import measure_norm, nearest_group
 
 #: Norm names with a stacked form.
 STACKED = [name for name, scalar in NORMS.items() if scalar in BATCHED_NORMS]
@@ -152,18 +149,6 @@ def per_pair(A, B, measure):
     return measure(A[:rows], B[:rows])
 
 
-def reference_nearest(query, candidates, groups, measure):
-    best, best_name = np.inf, groups[0][0]
-    for name, members in groups:
-        block = np.array(
-            [[per_pair(A, candidates[c], measure) for c in members]
-             for A in query]
-        )
-        if block.mean() < best:
-            best, best_name = block.mean(), name
-    return best_name
-
-
 @pytest.fixture()
 def stacked_calls(monkeypatch):
     """Count calls of every stacked form in this process."""
@@ -228,14 +213,8 @@ class TestKernelsEqualPerPair:
             blocks = multi_query_cross_distances(
                 queries, cols, measure, jobs=jobs, cache=cache
             )
-            for query, block, want in zip(queries, blocks, expected):
+            for block, want in zip(blocks, expected):
                 assert np.array_equal(block, want)
-                assert np.array_equal(
-                    cross_distance_matrix(
-                        query, cols, measure, jobs=jobs, cache=cache
-                    ),
-                    want,
-                )
 
     @pytest.mark.parametrize("jobs", JOBS)
     @pytest.mark.parametrize("name", STACKED)
@@ -270,47 +249,8 @@ class TestKernelsEqualPerPair:
         stacked_calls.clear()
         blocks = multi_query_cross_distances(queries, cols, measure, jobs=jobs)
         assert stacked_calls == [16, 16, 13]
-        for query, block, wanted in zip(queries, blocks, want):
+        for block, wanted in zip(blocks, want):
             assert np.array_equal(block, wanted)
-            assert np.array_equal(
-                cross_distance_matrix(query, cols, measure, jobs=jobs), wanted
-            )
-
-    @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
-    @pytest.mark.parametrize("name", STACKED)
-    def test_nearest_group(self, name, mixed):
-        measure = get_measure(name)
-        for trial in range(20):
-            candidates = corpus(100 + trial, 12, mixed=mixed)
-            query = corpus(200 + trial, 3, mixed=mixed)
-            groups = [("a", [0, 1, 2, 3]), ("b", [4, 5, 6, 7]),
-                      ("c", [8, 9, 10, 11])]
-            norms = [measure_norm(measure, M) for M in candidates]
-            want = reference_nearest(query, candidates, groups, measure)
-            assert nearest_group(query, candidates, groups, measure) == want
-            assert (
-                nearest_group(query, candidates, groups, measure, norms=norms)
-                == want
-            )
-
-
-    @pytest.mark.parametrize("name", STACKED)
-    def test_nearest_group_norm_bounds_need_equal_shapes(self, name):
-        # |N(A) - N(B)| bounds the distance of the full matrices, not of
-        # their truncated prefixes: a longer member with a huge tail but
-        # a near prefix must still win.
-        measure = get_measure(name)
-        near = np.full((20, 2), 100.0)
-        near[:4] = 0.1
-        candidates = [np.ones((4, 2)), near]
-        groups = [("far", [0]), ("near", [1])]
-        norms = [measure_norm(measure, M) for M in candidates]
-        query = [np.zeros((4, 2))]
-        assert reference_nearest(query, candidates, groups, measure) == "near"
-        assert (
-            nearest_group(query, candidates, groups, measure, norms=norms)
-            == "near"
-        )
 
 
 class TestPathChoice:
@@ -342,17 +282,6 @@ class TestPathChoice:
         assert D[0, 1] == measure(matrices[0], matrices[1])
 
     @pytest.mark.parametrize("name", STACKED)
-    def test_nearest_group_exact_block_is_one_contraction(
-        self, name, stacked_calls
-    ):
-        candidates = corpus(5, 6, mixed=False)
-        groups = [("a", [0, 1, 2]), ("b", [3, 4, 5])]
-        nearest_group(corpus(6, 2, mixed=False), candidates, groups,
-                      get_measure(name))
-        # Without norms nothing is pruned: one 2 x 3 block per group.
-        assert stacked_calls == [6, 6]
-
-    @pytest.mark.parametrize("name", STACKED)
     def test_stacked_norms_start_no_pool_task_and_skip_the_cache(
         self, name, tmp_path, monkeypatch
     ):
@@ -372,7 +301,6 @@ class TestPathChoice:
         previous = set_metrics(registry)
         try:
             distance_matrix(matrices, measure, jobs=2, cache=str(cache))
-            cross_distance_matrix(rows, cols, measure, jobs=2, cache=str(cache))
             multi_query_cross_distances(
                 [rows[:2], rows[2:]], cols, measure, jobs=2,
                 cache=str(cache), col_digests=[matrix_digest(M) for M in cols],

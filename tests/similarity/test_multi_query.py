@@ -2,10 +2,11 @@
 
 ``multi_query_cross_distances`` stitches every query's pairs into one
 chunked fan-out; these tests pin that the stitching changes nothing:
-each query's block equals ``cross_distance_matrix`` for that query
-alone, bit for bit, across batch sizes {1, 3, 8} and worker counts
-{1, 4} — the determinism contract the serving batch scheduler relies
-on.
+each query's block equals the query-by-column block of
+``distance_matrix`` over that query and the columns alone, a different
+engine call, bit for bit, across batch sizes {1, 3, 8} and worker
+counts {1, 4} — the determinism contract the serving batch scheduler
+relies on.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.similarity.distcache import DistanceCache, matrix_digest
 from repro.similarity.evaluation import (
-    cross_distance_matrix,
+    distance_matrix,
     multi_query_cross_distances,
 )
 from repro.similarity.measures import get_measure
 
 BATCH_SIZES = (1, 3, 8)
 JOB_COUNTS = (1, 4)
+
+
+def cross_block(query, cols, measure, **kwargs):
+    """``distance_matrix(query + cols)[:q, q:]``, with ``q = len(query)``."""
+    q = len(query)
+    return distance_matrix(list(query) + list(cols), measure, **kwargs)[:q, q:]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +66,7 @@ class TestBitIdentity:
         )
         assert len(blocks) == len(queries)
         for query, block in zip(queries, blocks):
-            serial = cross_distance_matrix(query, cols, measure)
+            serial = cross_block(query, cols, measure)
             assert np.array_equal(block, serial)
 
     def test_jobs_invariant(self, cols, query_pool):
@@ -96,15 +103,16 @@ class TestCacheInterplay:
         measure = get_measure("Fro")
         cache = DistanceCache(tmp_path / "dist")
         queries = query_pool[:2]
-        # Serial path populates; batched path must read the same keys.
+        # The full-matrix path populates; the batched path must read
+        # the same keys.
         for query in queries:
-            cross_distance_matrix(query, cols, measure, cache=cache)
+            cross_block(query, cols, measure, cache=cache)
         blocks = multi_query_cross_distances(
             queries, cols, measure, cache=cache
         )
         for query, block in zip(queries, blocks):
             assert np.array_equal(
-                block, cross_distance_matrix(query, cols, measure)
+                block, cross_block(query, cols, measure)
             )
 
     def test_precomputed_col_digests_match(self, cols, query_pool, tmp_path):

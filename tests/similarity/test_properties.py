@@ -24,6 +24,14 @@ def matrix_pairs(draw, min_rows=1, max_rows=8, min_cols=1, max_cols=4):
     return A, B
 
 
+@st.composite
+def matrix_triples(draw, max_rows=8, max_cols=4):
+    shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols)))
+    return tuple(
+        draw(arrays(np.float64, shape, elements=finite)) for _ in range(3)
+    )
+
+
 class TestNormAxioms:
     @given(matrix_pairs())
     @settings(max_examples=40, deadline=None)
@@ -44,6 +52,25 @@ class TestNormAxioms:
             return
         l11 = NORMS["L1,1"]
         assert l11(A, C) <= l11(A, B) + l11(B, C) + 1e-9
+
+    @pytest.mark.parametrize("name", ["L2,1", "Fro"])
+    @given(triple=matrix_triples())
+    @settings(max_examples=40, deadline=None)
+    def test_triangle_inequality(self, name, triple):
+        A, B, C = triple
+        norm = NORMS[name]
+        assert norm(A, C) <= norm(A, B) + norm(B, C) + 1e-9
+
+    @pytest.mark.parametrize("name", ["L2,1", "L1,1", "Fro"])
+    @given(pair=matrix_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_reverse_triangle_inequality(self, name, pair):
+        # Each distance is a norm of the difference, so the distances to
+        # zero of two matrices differ by at most their distance.
+        A, B = pair
+        norm = NORMS[name]
+        zero = np.zeros_like(A)
+        assert abs(norm(A, zero) - norm(B, zero)) <= norm(A, B) + 1e-9
 
     @given(
         arrays(np.float64, (4, 3), elements=finite),

@@ -1,10 +1,12 @@
-"""The DTW lower bounds the pruned nearest-group search relies on."""
+"""The DTW lower bounds ``repro.similarity`` exports, against DTW."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.exceptions import ValidationError
 from repro.similarity.dtw import lb_keogh, lb_kim, multivariate_dtw
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -40,3 +42,18 @@ class TestLowerBounds:
         A, B = pair
         exact = multivariate_dtw(A, B, strategy="dependent", window=window)
         assert lb_keogh(A, B, window=window) <= exact + 1e-9
+
+    @given(series_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_unbanded_lb_keogh_is_the_global_envelope_form(self, pair):
+        # Without a band any sample of A may align with any sample of B,
+        # so the envelope is B's per-dimension minimum and maximum.
+        A, B = pair
+        lower, upper = B.min(axis=0), B.max(axis=0)
+        exceed = np.maximum(0.0, np.maximum(A - upper, lower - A))
+        assert lb_keogh(A, B) == float(np.sqrt(np.sum(exceed**2)))
+
+    @pytest.mark.parametrize("bound", [lb_kim, lb_keogh])
+    def test_dimension_mismatch_rejected(self, bound):
+        with pytest.raises(ValidationError):
+            bound(np.zeros((4, 2)), np.zeros((4, 3)))

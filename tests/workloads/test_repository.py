@@ -9,6 +9,7 @@ from repro.workloads import (
     ExperimentRepository,
     results_equal,
 )
+from repro.workloads.repository import result_from_dict, result_to_dict
 from repro.workloads.runner import ExperimentResult
 from repro.workloads.sampling import systematic_subexperiments
 
@@ -101,6 +102,26 @@ class TestPersistence:
         path.write_text('{"experiments": [{"workload_name": "x"}]}')
         with pytest.raises(RepositoryError, match="malformed"):
             ExperimentRepository.load(path)
+
+    def test_per_type_values_decode_as_floats(self, tpcc_run):
+        payload = result_to_dict(tpcc_run)
+        names = list(payload["per_txn_latency_ms"])
+        payload["per_txn_latency_ms"] = {name: 2 for name in names}
+        payload["per_txn_weights"] = {name: 1 for name in names}
+        restored = result_from_dict(payload)
+        for field in ("per_txn_latency_ms", "per_txn_weights"):
+            values = getattr(restored, field)
+            assert list(values) == names
+            assert all(type(value) is float for value in values.values())
+        assert restored.per_txn_latency_ms == {name: 2.0 for name in names}
+
+    @pytest.mark.parametrize("field", ["per_txn_latency_ms", "per_txn_weights"])
+    @pytest.mark.parametrize("value", [[1.0, 2.0], {"a": "fast"}])
+    def test_malformed_per_type_values_raise(self, tpcc_run, field, value):
+        payload = result_to_dict(tpcc_run)
+        payload[field] = value
+        with pytest.raises(RepositoryError, match="malformed"):
+            result_from_dict(payload)
 
 
 class TestCorpusBuilders:
