@@ -1,10 +1,18 @@
 """Transport-free request handling: routes, cache tiers, accounting.
 
 :class:`ServeApp` is everything about the server except sockets — the
-HTTP layer (:mod:`repro.serve.server`) parses the request and calls
-:meth:`ServeApp.handle`, tests call it directly.  ``handle`` walks the
-hot path:
+HTTP layer (:mod:`repro.serve.server`) reads the request and calls
+:meth:`ServeApp.replay`, then, unless that answered, parses the body
+and calls :meth:`ServeApp.handle`; tests call both directly.  The hot
+path:
 
+0. **replay** — before the body is parsed, its
+   :func:`~repro.serve.protocol.replay_key` (a SHA-256 of the endpoint
+   and the raw bytes) is looked up among the response cache's aliases;
+   a key the full path answered with a synchronous 200 names that
+   answer's digest, and the repeat gets the memory hit's envelope
+   without a parse, a decode or a digest.  ``handle`` records the
+   alias after each synchronous 200;
 1. decode the target once, on the caller's thread
    (:func:`repro.serve.protocol.decode_experiments`; a malformed or
    non-finite target is a 400 here, sync or async), and digest the
@@ -61,6 +69,7 @@ from repro.serve.protocol import (
     SERVE_FORMAT_VERSION,
     app_identity,
     decode_experiments,
+    endpoint_of,
     experiment_digest,
     request_digest,
 )
@@ -115,11 +124,46 @@ class ServeApp:
         return self.jobs.recover()
 
     # -- routing ---------------------------------------------------------------
-    def handle(self, method: str, path: str, payload) -> tuple[int, dict, str]:
-        """Serve one request; returns ``(status, body, content_type)``."""
+    def replay(self, path: str, key: str):
+        """Answer a byte-identical repeat without parsing it, or ``None``.
+
+        ``key`` is the POSTed body's
+        :func:`~repro.serve.protocol.replay_key`.  When an alias names a
+        live response-cache entry, the answer is exactly the memory
+        hit's: the same envelope (tier ``"memory"``), counters and
+        ``serve.request_ms``; once shutdown has begun, the 503.  It is
+        exact because the same bytes at the same endpoint parse, decode,
+        validate and digest alike under one server identity.  ``None``
+        sends the request down the full path (:meth:`handle`).
+        """
+        started = time.perf_counter()
+        if self._shutdown:
+            if not self.response_cache.has_alias(key):
+                return None
+            status, body = 503, {"error": "server is shutting down"}
+        else:
+            hit = self.response_cache.replay(key)
+            if hit is None:
+                return None
+            digest, result = hit
+            status, body = 200, _envelope(
+                digest, result, "memory", endpoint_of(path)
+            )
+        self._account(started, status)
+        return status, body, "application/json"
+
+    def handle(
+        self, method: str, path: str, payload, key: str | None = None
+    ) -> tuple[int, dict, str]:
+        """Serve one request; returns ``(status, body, content_type)``.
+
+        A synchronous 200 from a compute endpoint records ``key``, the
+        body's replay key, as an alias of its digest, so :meth:`replay`
+        answers the same bytes next time.
+        """
         started = time.perf_counter()
         metrics = get_metrics()
-        endpoint = path.rstrip("/") or "/"
+        endpoint = endpoint_of(path)
         try:
             if method == "GET" and endpoint == "/healthz":
                 status, body, ctype = 200, self._healthz(), "application/json"
@@ -131,7 +175,7 @@ class ServeApp:
                 status, body = self._job_status(endpoint[len("/v1/jobs/"):])
                 ctype = "application/json"
             elif method == "POST" and endpoint in COMPUTE_ENDPOINTS:
-                status, body = self._compute_request(endpoint, payload)
+                status, body = self._compute_request(endpoint, payload, key)
                 ctype = "application/json"
             else:
                 status, body, ctype = (
@@ -154,13 +198,19 @@ class ServeApp:
                 {"error": f"{type(exc).__name__}: {exc}"},
                 "application/json",
             )
+        self._account(started, status)
+        return status, body, ctype
+
+    @staticmethod
+    def _account(started: float, status: int) -> None:
+        """The latency and counters every answered request records."""
+        metrics = get_metrics()
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         metrics.histogram(
             "serve.request_ms", buckets=LATENCY_MS_BUCKETS
         ).observe(elapsed_ms)
         metrics.counter("serve.requests_total").inc()
         metrics.counter(f"serve.responses.{status // 100}xx_total").inc()
-        return status, body, ctype
 
     # -- endpoints -------------------------------------------------------------
     def _healthz(self) -> dict:
@@ -188,7 +238,9 @@ class ServeApp:
             return 404, {"error": f"unknown job {job_id!r}"}
         return 200, job.to_dict()
 
-    def _compute_request(self, endpoint: str, payload) -> tuple[int, dict]:
+    def _compute_request(
+        self, endpoint: str, payload, key: str | None
+    ) -> tuple[int, dict]:
         if not isinstance(payload, dict):
             raise ServeError("request body must be a JSON object")
         if self._shutdown:
@@ -203,11 +255,9 @@ class ServeApp:
                 "status": job.status,
             }
         result, tier = self._cached_compute(digest, endpoint, payload, target)
-        return 200, {
-            "digest": digest,
-            "result": result,
-            "meta": {"cache_tier": tier, "endpoint": endpoint},
-        }
+        if key is not None:
+            self.response_cache.alias(key, digest)
+        return 200, _envelope(digest, result, tier, endpoint)
 
     # -- the hot path ----------------------------------------------------------
     def _address(self, endpoint: str, payload: dict) -> tuple[list, str]:
@@ -329,6 +379,15 @@ class ServeApp:
                 "batch scheduler did not drain within %.1fs", drain_timeout
             )
         return drained and closed
+
+
+def _envelope(digest: str, result, tier: str, endpoint: str) -> dict:
+    """A synchronous answer: the cached result and how it was delivered."""
+    return {
+        "digest": digest,
+        "result": result,
+        "meta": {"cache_tier": tier, "endpoint": endpoint},
+    }
 
 
 def _config_dict(config) -> dict:

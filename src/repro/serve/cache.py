@@ -6,6 +6,13 @@ eviction is purely by recency, and because keys are content addresses
 a stale entry is impossible — any change to the corpus, config, or
 schema changes every key (see :mod:`repro.serve.protocol`).
 
+Each entry may also carry one **alias**: the
+:func:`~repro.serve.protocol.replay_key` of request bytes the full path
+answered with that entry's digest, so a byte-identical repeat is
+answered without being parsed (:meth:`ResponseCache.replay`).  Aliases
+live under the same lock and the same bound as the entries, and leave
+with the entry they name.
+
 Single-flight closes the stampede window the cache alone leaves open:
 N identical requests arriving while the answer is still being computed
 would otherwise each run the pipeline.  :class:`SingleFlight` lets the
@@ -46,6 +53,10 @@ class ResponseCache:
     a unique-payload load profile produces — evicts by recency instead
     of growing without limit.  Every eviction, by either bound, bumps
     ``serve.response_cache.evictions_total``.
+
+    An entry holds at most one alias, the latest recorded, and an
+    eviction drops it, so there are never more aliases than entries and
+    an alias never names an evicted digest.
     """
 
     def __init__(self, max_entries: int = 1024, *, max_bytes: int | None = None):
@@ -61,6 +72,9 @@ class ResponseCache:
         self.max_bytes = max_bytes
         self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
         self._total_bytes = 0
+        # Replay key -> digest, and its inverse: one alias per entry.
+        self._aliases: dict[str, str] = {}
+        self._alias_of: dict[str, str] = {}
         self._lock = threading.Lock()
 
     def get(self, digest: str):
@@ -88,11 +102,52 @@ class ResponseCache:
                 and self._total_bytes > self.max_bytes
                 and len(self._entries) > 1
             ):
-                _, (_, evicted_size) = self._entries.popitem(last=False)
+                evicted, (_, evicted_size) = self._entries.popitem(last=False)
                 self._total_bytes -= evicted_size
+                self._drop_alias(self._alias_of.get(evicted))
                 get_metrics().counter(
                     "serve.response_cache.evictions_total"
                 ).inc()
+
+    def alias(self, key: str, digest: str) -> None:
+        """Let replay key ``key`` name the live entry ``digest``.
+
+        It replaces the entry's previous alias; without a live entry
+        (evicted since it answered) nothing is recorded.
+        """
+        with self._lock:
+            if digest not in self._entries:
+                return
+            self._drop_alias(self._alias_of.get(digest))
+            self._drop_alias(key)
+            self._aliases[key] = digest
+            self._alias_of[digest] = key
+
+    def replay(self, key: str):
+        """``(digest, response)`` for an aliased key, or ``None``.
+
+        A replay is a hit: it refreshes recency and counts in
+        ``serve.response_cache.hits_total`` and ``replays_total``.  An
+        unknown key counts nothing; the full path's lookup counts the
+        request.
+        """
+        metrics = get_metrics()
+        with self._lock:
+            digest = self._aliases.get(key)
+            if digest is None:
+                return None
+            self._entries.move_to_end(digest)
+            metrics.counter("serve.response_cache.hits_total").inc()
+            metrics.counter("serve.response_cache.replays_total").inc()
+            return digest, self._entries[digest][0]
+
+    def has_alias(self, key: str) -> bool:
+        return key in self._aliases
+
+    def _drop_alias(self, key: str | None) -> None:
+        digest = self._aliases.pop(key, None)
+        if digest is not None:
+            del self._alias_of[digest]
 
     @property
     def total_bytes(self) -> int:

@@ -30,6 +30,14 @@ changes answers: the format version, the resolved pipeline
 configuration, and the digest of the reference-corpus file.  Restart
 the server on a different corpus or config and every digest changes —
 stale cache entries can never be served.
+
+A **replay key** (:func:`replay_key`) addresses a request by its raw
+bytes instead: a SHA-256 of the endpoint and the body as received.  It
+is no content address — two spellings of one target have two keys —
+but the same bytes at the same endpoint always parse, decode and
+digest alike under one server identity, so the response cache can map
+a key to the digest the full path computed for it and answer a
+byte-identical repeat before parsing it.
 """
 
 from __future__ import annotations
@@ -71,6 +79,24 @@ def canonical_json(payload) -> str:
 def payload_digest(payload) -> str:
     """SHA-256 hex digest of a payload's canonical JSON form."""
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def endpoint_of(path: str) -> str:
+    """The route a request path names: trailing slashes dropped."""
+    return path.rstrip("/") or "/"
+
+
+def replay_key(path: str, body: bytes) -> str:
+    """The address of one request's raw bytes at one endpoint.
+
+    A SHA-256 of the normalized endpoint (:func:`endpoint_of`), prefixed
+    by its length so no endpoint and body run into another pair's, then
+    the body exactly as received.
+    """
+    endpoint = endpoint_of(path).encode()
+    digest = hashlib.sha256(b"%d:%s" % (len(endpoint), endpoint))
+    digest.update(body)
+    return digest.hexdigest()
 
 
 def request_digest(identity: str, endpoint: str, payload: dict) -> str:

@@ -2,8 +2,10 @@
 
 One :class:`PredictionServer` (a ``ThreadingHTTPServer`` with daemon
 handler threads) owns one :class:`~repro.serve.app.ServeApp`; the
-request handler is a thin codec — parse the JSON body, call
-``app.handle``, write the JSON response.  All decisions live in the
+request handler is a thin codec — read the body, hash it
+(:func:`~repro.serve.protocol.replay_key`) and let ``app.replay``
+answer a byte-identical repeat; otherwise parse the JSON body and call
+``app.handle``; write the JSON response.  All decisions live in the
 app, which is what the unit tests exercise without sockets.
 
 Graceful shutdown: SIGTERM/SIGINT set a flag and stop the accept loop
@@ -22,6 +24,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.logging import get_logger
+from repro.serve.protocol import replay_key
 
 logger = get_logger(__name__)
 
@@ -39,43 +42,60 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- request plumbing ------------------------------------------------------
     def _read_payload(self, method: str):
-        """``(payload, None)``, or ``(None, (status, error))`` to refuse.
+        """``(payload, key, None)`` for ``app.handle``, or
+        ``(None, None, answer)`` when no parse is needed.
+
+        ``answer`` is ``(status, body, content_type)``: a refusal, or
+        ``app.replay``'s answer to a byte-identical repeat, asked for
+        before the body is parsed.  Otherwise ``payload`` is the parsed
+        body (``None`` without one) and ``key`` its replay key.
 
         Bodies are framed by ``Content-Length`` only.  A body this
         handler does not read would be parsed as the next keep-alive
         request, so every refusal of a body or of its framing closes
         the connection: a chunked body (411), a bad or repeated length,
         a body on a method that takes none, or an oversized one (400).
+        A body that is not JSON, or not text, is a 400.
         """
         if "Transfer-Encoding" in self.headers:
-            self.close_connection = True
-            return None, (
+            return self._refuse(
                 411,
                 "Transfer-Encoding is not supported; "
                 "send the body with a Content-Length",
             )
         lengths = self.headers.get_all("Content-Length", [])
         if len(lengths) > 1:
-            self.close_connection = True
-            return None, (400, f"more than one Content-Length: {lengths!r}")
+            return self._refuse(
+                400, f"more than one Content-Length: {lengths!r}"
+            )
         declared = lengths[0] if lengths else "0"
         if not (declared.isascii() and declared.isdigit()):
-            self.close_connection = True
-            return None, (400, f"invalid Content-Length {declared!r}")
+            return self._refuse(400, f"invalid Content-Length {declared!r}")
         length = int(declared)
         if length == 0:
-            return None, None
+            return None, None, None
         if method != "POST":
-            self.close_connection = True
-            return None, (400, f"{method} requests take no body")
+            return self._refuse(400, f"{method} requests take no body")
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return None, (400, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            return self._refuse(
+                400, f"request body exceeds {MAX_BODY_BYTES} bytes"
+            )
         body = self.rfile.read(length)
+        key = replay_key(self.path, body)
+        answer = self.server.app.replay(self.path, key)
+        if answer is not None:
+            return None, None, answer
         try:
-            return json.loads(body), None
-        except json.JSONDecodeError as exc:
-            return None, (400, f"request body is not valid JSON: {exc}")
+            return json.loads(body), key, None
+        except ValueError as exc:  # bytes that are no text raise it too
+            return None, None, _error(
+                400, f"request body is not valid JSON: {exc}"
+            )
+
+    def _refuse(self, status: int, error: str):
+        """Refuse a body or its framing and close the connection."""
+        self.close_connection = True
+        return None, None, _error(status, error)
 
     def _respond(self, status: int, body, content_type: str) -> None:
         payload = (
@@ -92,15 +112,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _dispatch(self, method: str) -> None:
-        payload, refusal = self._read_payload(method)
-        if refusal is not None:
-            status, error = refusal
-            self._respond(status, {"error": error}, "application/json")
-            return
-        status, body, content_type = self.server.app.handle(
-            method, self.path, payload
-        )
-        self._respond(status, body, content_type)
+        payload, key, answer = self._read_payload(method)
+        if answer is None:
+            answer = self.server.app.handle(method, self.path, payload, key)
+        self._respond(*answer)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch("GET")
@@ -110,6 +125,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s %s", self.address_string(), format % args)
+
+
+def _error(status: int, error: str) -> tuple[int, dict, str]:
+    return status, {"error": error}, "application/json"
 
 
 class PredictionServer(ThreadingHTTPServer):

@@ -22,8 +22,8 @@ once at warmup, plus serving-only state:
   can move samples across histogram bins, so nothing guarantees the
   batch pipeline's ordering;
 - **reference matrices** are built once, with their workload groups in
-  corpus order (the order ties resolve in) and, when a distance cache
-  is configured, their content digests.
+  corpus order (the order ties resolve in) and, when a request can
+  read the distance cache, their content digests.
 
 Both endpoints read one ranking: ``/v1/rank`` answers with it and
 ``/v1/predict`` transfers the scaling model of its nearest reference.
@@ -49,6 +49,7 @@ from repro.similarity.evaluation import (
     representation_matrices,
 )
 from repro.similarity.measures import get_measure
+from repro.similarity.norms import BATCHED_NORMS
 from repro.similarity.representations import RepresentationBuilder
 from repro.utils.rng import as_generator
 from repro.workloads.corpus import expand_subexperiments
@@ -119,9 +120,15 @@ class PredictionService:
                 (name, np.flatnonzero(labels == name).tolist())
                 for name in self.references.workload_names()
             ]
-            # Only the distance cache's pre-pass reads the digests.
+            # Only the distance cache's pre-pass reads the digests, and
+            # only pairs with no stacked norm reach it: a measure without
+            # one, or MTS, whose windows can differ in length from a
+            # target's.
             self._ref_digests = None
-            if self._pipeline.distance_cache is not None:
+            if self._pipeline.distance_cache is not None and (
+                self.config.representation == "mts"
+                or self._measure.func not in BATCHED_NORMS
+            ):
                 self._ref_digests = [
                     matrix_digest(M) for M in self._ref_matrices
                 ]

@@ -80,6 +80,24 @@ def test_invalid_json_body_400(live_server):
     assert "not valid JSON" in body["error"]
 
 
+def test_body_that_is_not_text_is_400(live_server):
+    """Bytes that decode as no text are a 400 like any other body that
+    is not JSON, not a dropped connection."""
+    host, port = live_server.rsplit("/", 1)[-1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.request(
+            "POST", "/v1/rank", body=b'{"target": "\xff"}',
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        status, body = response.status, json.loads(response.read())
+    finally:
+        connection.close()
+    assert status == 400
+    assert "not valid JSON" in body["error"]
+
+
 def test_http_json_raises_on_unreachable():
     with pytest.raises(ServeError):
         http_json("GET", "http://127.0.0.1:9/healthz", timeout=2)
@@ -88,7 +106,10 @@ def test_http_json_raises_on_unreachable():
 class _StubApp:
     """Answers every request at once, so only the transport is timed."""
 
-    def handle(self, method, path, payload):
+    def replay(self, path, key):
+        return None
+
+    def handle(self, method, path, payload, key=None):
         return 200, {"ok": True, "echo": payload}, "application/json"
 
 
@@ -161,9 +182,9 @@ class _RecordingApp(_StubApp):
     def __init__(self):
         self.calls = []
 
-    def handle(self, method, path, payload):
+    def handle(self, method, path, payload, key=None):
         self.calls.append((method, path))
-        return super().handle(method, path, payload)
+        return super().handle(method, path, payload, key)
 
 
 def _send_raw(app, request: bytes) -> bytes:

@@ -158,7 +158,39 @@ class TestWarmState:
     def test_a_distance_cache_gets_the_reference_digests(
         self, serve_references, tmp_path
     ):
-        service = warmed(serve_references, distance_cache=str(tmp_path))
+        """Canb has no stacked form, so its pairs read the cache."""
+        service = warmed(
+            serve_references, measure="Canb", distance_cache=str(tmp_path)
+        )
+        assert service._ref_digests == [
+            matrix_digest(M) for M in service._ref_matrices
+        ]
+
+    @pytest.mark.parametrize("measure", ["L2,1", "L1,1"])
+    def test_stacked_norms_skip_the_reference_digests(
+        self, serve_references, serve_target, tmp_path, measure
+    ):
+        """Hist-FP pairs under L2,1 or L1,1 all take the stacked path,
+        which never reads the cache, so warmup hashes nothing."""
+        plain = warmed(serve_references, measure=measure)
+        cached = warmed(
+            serve_references, measure=measure, distance_cache=str(tmp_path)
+        )
+        assert cached._ref_digests is None
+        assert cached.rank(serve_target) == plain.rank(serve_target)
+        assert not (tmp_path / "distances.jsonl").exists()
+
+    def test_mts_gets_the_reference_digests_under_a_stacked_norm(
+        self, serve_references, tmp_path
+    ):
+        """MTS windows can differ in length from a target's, and such a
+        pair has no stacked form."""
+        service = warmed(
+            serve_references,
+            representation="mts",
+            feature_scope="resource",
+            distance_cache=str(tmp_path),
+        )
         assert service._ref_digests == [
             matrix_digest(M) for M in service._ref_matrices
         ]
