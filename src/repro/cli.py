@@ -21,9 +21,8 @@ Five subcommands mirror the pipeline stages:
 - ``repro serve`` — long-running HTTP/JSON prediction service over a
   reference corpus: ``POST /v1/rank`` and ``POST /v1/predict`` answer
   from a digest-keyed response cache, the persisted distance/fit
-  caches, or a persistent worker pool; ``{"mode": "async"}`` turns a
-  request into a journal-backed job (``GET /v1/jobs/<id>``); SIGTERM
-  drains gracefully (see ``docs/serving.md``).
+  caches, or a persistent worker pool; SIGTERM drains gracefully (see
+  ``docs/serving.md``).
 
 Every subcommand reads/writes the repository formats of
 :class:`repro.workloads.repository.ExperimentRepository`: JSON, or the
@@ -418,15 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_FIT_CACHE if set)",
     )
     serve.add_argument(
-        "--state-dir", default=None, metavar="PATH",
-        help="directory for the async job journal; jobs submitted "
-        "before a crash are resumed from here on restart",
-    )
-    serve.add_argument(
-        "--job-workers", type=int, default=1, metavar="N",
-        help="threads draining the async job queue",
-    )
-    serve.add_argument(
         "--response-cache-size", type=int, default=1024, metavar="N",
         help="max entries in the in-process response cache",
     )
@@ -447,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="S",
-        help="seconds to wait for queued jobs on SIGTERM/SIGINT",
+        help="seconds to wait on SIGTERM/SIGINT for admitted requests "
+        "to flush through the batch scheduler",
     )
     serve.add_argument(
         "--subexperiments", type=int, default=10, metavar="N",
@@ -976,19 +967,15 @@ def _cmd_serve(args) -> int:
             references_digest=file_digest(references_path),
             response_cache_size=args.response_cache_size,
             response_cache_bytes=args.response_cache_bytes,
-            state_dir=args.state_dir,
-            job_workers=args.job_workers,
             ledger=_resolve_ledger(args),
             batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
         )
-        recovered = app.recover_jobs()
         server = make_server(app, host=args.host, port=args.port)
         print(
             f"serving {len(references)} reference experiment(s) "
             f"({', '.join(summary['workloads'])}) on "
-            f"http://{args.host}:{server.port}"
-            + (f"; resumed {recovered} job(s)" if recovered else ""),
+            f"http://{args.host}:{server.port}",
             flush=True,
         )
         drained = serve_until_shutdown(

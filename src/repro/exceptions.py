@@ -38,3 +38,7 @@ class PipelineError(ReproError):
 
 class ServeError(ReproError):
     """A prediction-service request was malformed or unservable."""
+
+
+class ShuttingDownError(ServeError):
+    """The server is shutting down and admits no new computation (a 503)."""

@@ -9,10 +9,10 @@ JSONL logic.  ``repro.exec`` factors all of that
 into one place:
 
 - :mod:`repro.exec.journal` — the single torn-tail-healing JSONL
-  append/load discipline (the run ledger and the job queue build on
-  it), with appends that are safe under *concurrent* writers, not just
-  single-writer tails; and :class:`~repro.exec.journal.KeyValueJournal`,
-  the one JSONL key-value store behind the distance and fit caches.
+  append/load discipline (the run ledger builds on it), with appends
+  that are safe under *concurrent* writers, not just single-writer
+  tails; and :class:`~repro.exec.journal.KeyValueJournal`, the one
+  JSONL key-value store behind the distance and fit caches.
 - :mod:`repro.exec.arrays` — :func:`~repro.exec.arrays.float64_digest`,
   the one float64 content address the distance and fit caches key
   their entries on.

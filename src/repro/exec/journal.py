@@ -3,9 +3,9 @@
 Every append-only JSONL file in the repo goes through this module —
 the two :class:`KeyValueJournal` stores
 (:class:`~repro.similarity.distcache.DistanceCache` and
-:class:`~repro.ml.fitexec.FitCache`), the
-:class:`~repro.obs.ledger.RunLedger`, and the serving job queue — and
-all share the same two rituals:
+:class:`~repro.ml.fitexec.FitCache`) and the
+:class:`~repro.obs.ledger.RunLedger` — and all share the same two
+rituals:
 
 - **append**: heal a torn tail (a SIGKILL mid-append leaves the file
   without a trailing newline; appending blindly would corrupt *two*

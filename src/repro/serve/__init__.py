@@ -21,10 +21,9 @@ HTTP/JSON service where that repeated work is paid once:
   queue: concurrent distinct requests execute as one batch on a single
   scheduler thread (one multi-query kernel fan-out for a batch's rank
   requests);
-- :mod:`repro.serve.jobs` — the journal-backed async job queue behind
-  ``{"mode": "async"}`` submissions (202 + job id, restart-resumable);
 - :mod:`repro.serve.app` — the transport-free request handler: routes,
-  cache tiers, metrics, ledger rows;
+  cache tiers, metrics, ledger rows; every answer is delivered on the
+  request's own connection;
 - :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``
   binding with graceful SIGTERM/SIGINT drain;
 - :mod:`repro.serve.loadgen` — the urllib load generator behind
@@ -36,7 +35,6 @@ See ``docs/serving.md`` for the API schema and the cache-tier design.
 from repro.serve.app import ServeApp
 from repro.serve.batcher import BatchScheduler
 from repro.serve.cache import ResponseCache, SingleFlight
-from repro.serve.jobs import Job, JobQueue
 from repro.serve.loadgen import LoadGenerator, http_json
 from repro.serve.protocol import (
     SERVE_FORMAT_VERSION,
@@ -49,8 +47,6 @@ from repro.serve.service import PredictionService
 
 __all__ = [
     "BatchScheduler",
-    "Job",
-    "JobQueue",
     "LoadGenerator",
     "PredictionServer",
     "PredictionService",

@@ -9,16 +9,17 @@ path:
 0. **replay** — before the body is parsed, its
    :func:`~repro.serve.protocol.replay_key` (a SHA-256 of the endpoint
    and the raw bytes) is looked up among the response cache's aliases;
-   a key the full path answered with a synchronous 200 names that
-   answer's digest, and the repeat gets the memory hit's envelope
-   without a parse, a decode or a digest.  ``handle`` records the
-   alias after each synchronous 200;
+   a key the full path answered with a 200 names that answer's
+   digest, and the repeat gets the memory hit's envelope without a
+   parse, a decode or a digest.  ``handle`` records the alias after
+   each 200;
 1. decode the target once, on the caller's thread
    (:func:`repro.serve.protocol.decode_experiments`; a malformed or
-   non-finite target is a 400 here, sync or async), and digest the
-   request with the target replaced by its decoded experiments'
-   content addresses (:func:`~repro.serve.protocol.experiment_digest`,
-   then :func:`~repro.serve.protocol.request_digest`);
+   non-finite target is a 400 here, and so, before the decode, is any
+   ``mode`` but ``"sync"``), and digest the request with the target
+   replaced by its decoded experiments' content addresses
+   (:func:`~repro.serve.protocol.experiment_digest`, then
+   :func:`~repro.serve.protocol.request_digest`);
 2. **tier 1** — the in-process LRU :class:`ResponseCache`; a hit
    answers without touching the pipeline;
 3. **single-flight** — concurrent identical misses coalesce onto one
@@ -44,9 +45,8 @@ writers; pinned by ``tests/integration/test_concurrent_caches.py``).
 
 Responses are enveloped as ``{"digest", "result", "meta"}`` — ``meta``
 (cache tier, timing) varies per delivery, ``result`` is the cached,
-bit-stable answer.  Async submissions (``{"mode": "async"}``) return
-``202`` with a job id; the job queue computes through this same method,
-so async work populates the same caches.
+bit-stable answer.  Once :meth:`ServeApp.shutdown` has begun, compute
+gets a 503 (:class:`~repro.exceptions.ShuttingDownError`).
 
 Every request records ``serve.request_ms``, per-endpoint counters, and
 optionally one ledger row, so a serving process leaves the same audit
@@ -57,14 +57,13 @@ from __future__ import annotations
 
 import time
 
-from repro.exceptions import ReproError, ServeError, ValidationError
+from repro.exceptions import ReproError, ServeError, ShuttingDownError
 from repro.obs.ledger import RunLedger, build_row, resolve_ledger_path
 from repro.obs.logging import get_logger
 from repro.obs.metrics import LATENCY_MS_BUCKETS, get_metrics
 from repro.obs.tracing import span
 from repro.serve.batcher import BatchScheduler
 from repro.serve.cache import ResponseCache, SingleFlight
-from repro.serve.jobs import JobQueue
 from repro.serve.protocol import (
     SERVE_FORMAT_VERSION,
     app_identity,
@@ -80,6 +79,9 @@ logger = get_logger(__name__)
 #: Endpoints that accept POSTed computation requests.
 COMPUTE_ENDPOINTS = ("/v1/rank", "/v1/predict")
 
+#: The error of every compute request answered once shutdown has begun.
+SHUTTING_DOWN = "server is shutting down"
+
 
 class ServeApp:
     """The server's request handler, independent of any socket."""
@@ -91,8 +93,6 @@ class ServeApp:
         references_digest: str = "",
         response_cache_size: int = 1024,
         response_cache_bytes: int | None = None,
-        state_dir=None,
-        job_workers: int = 1,
         ledger=None,
         batch_window_ms: float = 4.0,
         max_batch: int = 8,
@@ -105,9 +105,6 @@ class ServeApp:
             response_cache_size, max_bytes=response_cache_bytes
         )
         self.single_flight = SingleFlight()
-        self.jobs = JobQueue(
-            self._compute_for_job, state_dir=state_dir, workers=job_workers
-        )
         self.batcher = BatchScheduler(
             self._execute_batch,
             window_ms=batch_window_ms,
@@ -118,10 +115,6 @@ class ServeApp:
         )
         self._started = time.time()
         self._shutdown = False
-
-    def recover_jobs(self) -> int:
-        """Replay the job journal (call once, after construction)."""
-        return self.jobs.recover()
 
     # -- routing ---------------------------------------------------------------
     def replay(self, path: str, key: str):
@@ -140,7 +133,7 @@ class ServeApp:
         if self._shutdown:
             if not self.response_cache.has_alias(key):
                 return None
-            status, body = 503, {"error": "server is shutting down"}
+            status, body = 503, {"error": SHUTTING_DOWN}
         else:
             hit = self.response_cache.replay(key)
             if hit is None:
@@ -157,9 +150,9 @@ class ServeApp:
     ) -> tuple[int, dict, str]:
         """Serve one request; returns ``(status, body, content_type)``.
 
-        A synchronous 200 from a compute endpoint records ``key``, the
-        body's replay key, as an alias of its digest, so :meth:`replay`
-        answers the same bytes next time.
+        A 200 from a compute endpoint records ``key``, the body's replay
+        key, as an alias of its digest, so :meth:`replay` answers the
+        same bytes next time.
         """
         started = time.perf_counter()
         metrics = get_metrics()
@@ -171,21 +164,22 @@ class ServeApp:
                 status, body, ctype = (
                     200, metrics.to_prometheus(), "text/plain; version=0.0.4",
                 )
-            elif method == "GET" and endpoint.startswith("/v1/jobs/"):
-                status, body = self._job_status(endpoint[len("/v1/jobs/"):])
-                ctype = "application/json"
             elif method == "POST" and endpoint in COMPUTE_ENDPOINTS:
-                status, body = self._compute_request(endpoint, payload, key)
-                ctype = "application/json"
+                body = self._compute_request(endpoint, payload, key)
+                status, ctype = 200, "application/json"
             else:
                 status, body, ctype = (
                     404,
                     {"error": f"no route for {method} {endpoint}"},
                     "application/json",
                 )
+        except ShuttingDownError:
+            status, body, ctype = (
+                503, {"error": SHUTTING_DOWN}, "application/json",
+            )
         except ServeError as exc:
             status, body, ctype = 400, {"error": str(exc)}, "application/json"
-        except (ValidationError, ReproError) as exc:
+        except ReproError as exc:
             status, body, ctype = (
                 400,
                 {"error": f"{type(exc).__name__}: {exc}"},
@@ -224,7 +218,6 @@ class ServeApp:
                 "n_experiments": len(self.service.references),
             },
             "config": _config_dict(self.service.config),
-            "jobs": len(self.jobs),
             "response_cache_entries": len(self.response_cache),
             "batch": {
                 "window_ms": self.batcher.window_s * 1000.0,
@@ -232,32 +225,21 @@ class ServeApp:
             },
         }
 
-    def _job_status(self, job_id: str) -> tuple[int, dict]:
-        job = self.jobs.get(job_id)
-        if job is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
-        return 200, job.to_dict()
-
-    def _compute_request(
-        self, endpoint: str, payload, key: str | None
-    ) -> tuple[int, dict]:
+    def _compute_request(self, endpoint: str, payload, key: str | None) -> dict:
         if not isinstance(payload, dict):
             raise ServeError("request body must be a JSON object")
         if self._shutdown:
-            return 503, {"error": "server is shutting down"}
+            raise ShuttingDownError(SHUTTING_DOWN)
+        if payload.get("mode", "sync") != "sync":
+            raise ServeError(
+                f"mode {payload['mode']!r} is not served: the async mode "
+                'was removed; omit "mode" or send "sync"'
+            )
         target, digest = self._address(endpoint, payload)
-        if payload.get("mode") == "async":
-            job = self.jobs.submit(digest, endpoint, payload)
-            get_metrics().counter("serve.async_submissions_total").inc()
-            return 202, {
-                "digest": digest,
-                "job_id": job.job_id,
-                "status": job.status,
-            }
         result, tier = self._cached_compute(digest, endpoint, payload, target)
         if key is not None:
             self.response_cache.alias(key, digest)
-        return 200, _envelope(digest, result, tier, endpoint)
+        return _envelope(digest, result, tier, endpoint)
 
     # -- the hot path ----------------------------------------------------------
     def _address(self, endpoint: str, payload: dict) -> tuple[list, str]:
@@ -344,12 +326,6 @@ class ServeApp:
                     for item, ranking in zip(rank_items, rankings):
                         item.result = self.service.rank_response_from(ranking)
 
-    def _compute_for_job(self, endpoint: str, payload: dict) -> dict:
-        """The job queue's compute hook — same tiers as sync requests."""
-        target, digest = self._address(endpoint, payload)
-        result, _tier = self._cached_compute(digest, endpoint, payload, target)
-        return result
-
     def _ledger_row(self, endpoint, digest, elapsed_s: float) -> None:
         if self._ledger is None:
             return
@@ -366,19 +342,14 @@ class ServeApp:
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self, *, drain_timeout: float = 30.0) -> bool:
-        """Stop accepting compute, drain queued jobs; True when clean."""
+        """Stop admitting compute, drain the scheduler; True when clean."""
         self._shutdown = True
-        drained = self.jobs.drain(timeout=drain_timeout)
-        if not drained:
-            logger.warning("job queue did not drain within %.1fs", drain_timeout)
-        # Jobs drain first — queued jobs still compute through the
-        # batcher, so it must outlive them; then flush anything admitted.
         closed = self.batcher.close(timeout=drain_timeout)
         if not closed:
             logger.warning(
                 "batch scheduler did not drain within %.1fs", drain_timeout
             )
-        return drained and closed
+        return closed
 
 
 def _envelope(digest: str, result, tier: str, endpoint: str) -> dict:

@@ -40,7 +40,7 @@ import threading
 import time
 from collections import deque
 
-from repro.exceptions import ServeError, ValidationError
+from repro.exceptions import ServeError, ShuttingDownError, ValidationError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, get_metrics
 
@@ -118,7 +118,7 @@ class BatchScheduler:
         item = BatchItem(digest, endpoint, payload, target)
         with self._cond:
             if self._closed:
-                raise ServeError("batch scheduler is closed")
+                raise ShuttingDownError("batch scheduler is closed")
             self._queue.append(item)
             self._cond.notify_all()
         item.done.wait()

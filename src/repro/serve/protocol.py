@@ -3,16 +3,16 @@
 Every caching tier in the server keys on one value: the **request
 digest**, a SHA-256 over the canonical JSON form of (format version,
 application identity, endpoint, request payload).  Two requests with
-the same digest are the same computation, so the response cache, the
-single-flight table, and the job queue can all treat the digest as the
-request's identity.
+the same digest are the same computation, so the response cache and
+the single-flight table both treat the digest as the request's
+identity.
 
 Canonical JSON is ``json.dumps`` with sorted keys and compact
 separators — the same bytes for the same logical payload regardless of
 key order or whitespace in what the client sent.  Keys whose values
-change routing but not the *answer* (currently only ``mode``, which
-selects sync vs async delivery) are stripped before hashing, so an
-async resubmission of a sync request hits the same cache entry.
+change delivery but not the *answer* (currently only ``mode``, whose
+one accepted value is ``"sync"``) are stripped before hashing, so
+``{"mode": "sync"}`` and a bare request share a cache entry.
 
 The target is addressed by what it decodes to, not by how it was
 spelled: the app decodes it first and hashes the payload with
@@ -61,8 +61,8 @@ from repro.workloads.repository import (
 #: with for the same target.
 SERVE_FORMAT_VERSION = 2
 
-#: Payload keys that select delivery, not computation; stripped before
-#: hashing so sync and async submissions of one request share a digest.
+#: Payload keys stripped before hashing: ``mode`` selects delivery, and
+#: the app serves only ``"sync"``, the bare request's answer.
 VOLATILE_KEYS = ("mode",)
 
 

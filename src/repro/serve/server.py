@@ -11,9 +11,9 @@ app, which is what the unit tests exercise without sockets.
 Graceful shutdown: SIGTERM/SIGINT set a flag and stop the accept loop
 *from a helper thread* (``HTTPServer.shutdown`` deadlocks when called
 on the thread running ``serve_forever``), then
-:func:`serve_until_shutdown` drains the async job queue and closes the
-socket — in-flight jobs finish, new connections are refused.  The CI
-smoke job sends SIGTERM and asserts a clean exit.
+:func:`serve_until_shutdown` closes the app's batch scheduler, whose
+admitted requests still execute, and the socket.  The CI smoke job
+sends SIGTERM and asserts a clean exit.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def serve_until_shutdown(
 ) -> bool:
     """Run the accept loop until a signal, then drain and close.
 
-    Returns whether the job queue drained cleanly within
+    Returns whether the batch scheduler drained cleanly within
     ``drain_timeout`` seconds.
     """
     install_signal_handlers(server)

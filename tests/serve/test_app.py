@@ -1,4 +1,4 @@
-"""ServeApp routing, cache tiers, async jobs, single-flight, shutdown."""
+"""ServeApp routing, cache tiers, delivery mode, single-flight, shutdown."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import math
 import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repro.exceptions import RepositoryError
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve import app as app_module
 from repro.serve.app import ServeApp
+from repro.serve.protocol import replay_key
 from repro.serve.service import PredictionService
 from repro.workloads import ExperimentRepository, run_experiments, twitter
 from repro.workloads.repository import result_from_dict, result_to_dict
@@ -30,10 +32,8 @@ def fresh_metrics():
 
 
 @pytest.fixture
-def app(warm_service, tmp_path, fresh_metrics):
-    application = ServeApp(
-        warm_service, references_digest="refs-digest", state_dir=tmp_path
-    )
+def app(warm_service, fresh_metrics):
+    application = ServeApp(warm_service, references_digest="refs-digest")
     yield application
     application.shutdown(drain_timeout=10.0)
 
@@ -51,14 +51,11 @@ def predict_payload(target_payload, **extra):
     }
 
 
-def poll_job(app, job_id, tries=200):
-    for _ in range(tries):
-        status, body, _ = app.handle("GET", f"/v1/jobs/{job_id}", None)
-        assert status == 200
-        if body["status"] in ("done", "failed"):
-            return body
-        threading.Event().wait(0.05)
-    raise AssertionError(f"job {job_id} never settled")
+def wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class TestRoutes:
@@ -69,6 +66,7 @@ class TestRoutes:
         assert body["status"] == "ok"
         assert body["identity"] == app.identity
         assert set(body["references"]["workloads"]) == {"tpcc", "twitter"}
+        assert "jobs" not in body
 
     def test_metrics_is_prometheus_text(self, app):
         app.handle("GET", "/healthz", None)
@@ -77,14 +75,11 @@ class TestRoutes:
         assert ctype.startswith("text/plain")
         assert "serve_requests_total" in body
 
-    def test_unknown_route_404(self, app):
-        status, body, _ = app.handle("GET", "/v1/nope", None)
+    @pytest.mark.parametrize("path", ["/v1/nope", "/v1/jobs/job-missing"])
+    def test_unknown_route_404(self, app, path):
+        status, body, _ = app.handle("GET", path, None)
         assert status == 404
         assert "no route" in body["error"]
-
-    def test_unknown_job_404(self, app):
-        status, body, _ = app.handle("GET", "/v1/jobs/job-missing", None)
-        assert status == 404
 
     def test_non_dict_body_400(self, app):
         status, body, _ = app.handle("POST", "/v1/rank", [1, 2, 3])
@@ -243,19 +238,6 @@ class TestDecodedTargets:
         assert status == 400
         assert body["error"].startswith("target[0] is malformed")
 
-    def test_malformed_async_target_is_400_without_a_job(
-        self, app, target_payload, tmp_path
-    ):
-        entries = copy.deepcopy(target_payload)
-        del entries[0]["plan_matrix"]
-        status, body, _ = app.handle(
-            "POST", "/v1/rank", rank_payload(entries, mode="async")
-        )
-        assert status == 400
-        assert body["error"].startswith("target[0] is malformed")
-        assert len(app.jobs) == 0
-        assert not (tmp_path / "jobs.jsonl").exists()
-
 
 class TestSingleFlight:
     def test_concurrent_identical_requests_one_execution(
@@ -280,24 +262,57 @@ class TestSingleFlight:
         assert snap["serve.pipeline_executions_total"]["value"] == 1
 
 
-class TestAsyncJobs:
-    def test_async_202_then_result_matches_sync(self, app, target_payload):
-        sync_payload = rank_payload(target_payload)
-        async_payload = rank_payload(target_payload, mode="async")
+class TestDeliveryMode:
+    @pytest.mark.parametrize("endpoint", ["/v1/rank", "/v1/predict"])
+    def test_only_sync_is_served(
+        self, app, target_payload, endpoint, monkeypatch
+    ):
+        """Any ``mode`` but ``"sync"`` is refused before the target is
+        decoded; ``"sync"`` is stripped from the digest, so it is the
+        bare request."""
+        make = rank_payload if endpoint == "/v1/rank" else predict_payload
+        decoded = []
+        decode = app_module.decode_experiments
 
-        status, accepted, _ = app.handle("POST", "/v1/rank", async_payload)
-        assert status == 202
-        assert accepted["status"] in ("pending", "running", "done")
-        job = poll_job(app, accepted["job_id"])
-        assert job["status"] == "done"
+        def spy(*args, **kwargs):
+            decoded.append(args)
+            return decode(*args, **kwargs)
 
-        status, sync, _ = app.handle("POST", "/v1/rank", sync_payload)
+        monkeypatch.setattr(app_module, "decode_experiments", spy)
+        for mode in ("async", "batch"):
+            status, body, _ = app.handle(
+                "POST", endpoint, make(target_payload, mode=mode)
+            )
+            assert status == 400
+            assert f"mode {mode!r}" in body["error"]
+            assert "async mode was removed" in body["error"]
+        assert decoded == []
+        assert len(app.response_cache) == 0
+
+        status, bare, _ = app.handle("POST", endpoint, make(target_payload))
         assert status == 200
-        # mode is volatile: the async job computed under the same digest,
-        # so the sync request was a pure response-cache hit.
-        assert sync["digest"] == accepted["digest"]
+        status, sync, _ = app.handle(
+            "POST", endpoint, make(target_payload, mode="sync")
+        )
+        assert status == 200
         assert sync["meta"]["cache_tier"] == "memory"
-        assert job["result"] == sync["result"]
+        assert sync["digest"] == bare["digest"]
+        assert sync["result"] == bare["result"]
+
+    @pytest.mark.parametrize(
+        "mode",
+        [None, 1, "SYNC", ["sync"]],
+        ids=["null", "number", "upper", "list"],
+    )
+    def test_mode_must_be_the_string_sync(self, app, target_payload, mode):
+        """Only an absent ``mode`` means sync: ``null``, another type or
+        another spelling is refused, never served as the bare request."""
+        status, body, _ = app.handle(
+            "POST", "/v1/rank", rank_payload(target_payload, mode=mode)
+        )
+        assert status == 400
+        assert body["error"].startswith(f"mode {mode!r} is not served")
+        assert len(app.response_cache) == 0
 
 
 class TestShutdown:
@@ -310,6 +325,130 @@ class TestShutdown:
         # Health stays up for orchestrators during drain.
         status, _, _ = app.handle("GET", "/healthz", None)
         assert status == 200
+
+    def test_a_request_in_flight_at_shutdown_gets_the_503(
+        self, app, target_payload, fresh_metrics, monkeypatch
+    ):
+        """A leader and its coalesced follower pass the shutdown check,
+        then shutdown runs while they decode: the leader reaches the
+        closed scheduler, and both are answered as shutting down, not
+        with a 400 that blames the request."""
+        payload = rank_payload(target_payload)
+        key = replay_key("/v1/rank", json.dumps(payload).encode())
+        decode = app_module.decode_experiments
+        # The barrier's action runs once both requests are decoding,
+        # before either goes on.
+        both_decoding = threading.Barrier(
+            2, action=lambda: app.shutdown(drain_timeout=10.0), timeout=30.0
+        )
+
+        def decode_during_shutdown(*args, **kwargs):
+            both_decoding.wait()
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(
+            app_module, "decode_experiments", decode_during_shutdown
+        )
+        coalesced = fresh_metrics.counter("serve.singleflight.coalesced_total")
+        submit = app.batcher.submit
+
+        def submit_once_followed(*args, **kwargs):
+            wait_for(lambda: coalesced.value == 1)
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(app.batcher, "submit", submit_once_followed)
+        answers = []
+        threads = [
+            threading.Thread(
+                target=lambda: answers.append(
+                    app.handle("POST", "/v1/rank", payload, key)
+                )
+            )
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [
+            (503, {"error": "server is shutting down"}, "application/json")
+        ] * 2
+        assert coalesced.value == 1
+        assert not app.response_cache.has_alias(key)
+        assert len(app.response_cache) == 0
+
+    def test_an_admitted_request_keeps_its_own_400(
+        self, app, target_payload, monkeypatch
+    ):
+        """Shutdown closes the scheduler while it runs an admitted
+        request; that request fails on its own, with an unknown SKU,
+        and the drain answers it with its 400."""
+        predict = app.service.predict
+        closing = threading.Thread(
+            target=app.shutdown, kwargs={"drain_timeout": 30.0}
+        )
+
+        def predict_while_closing(*args, **kwargs):
+            closing.start()
+            wait_for(lambda: app.batcher.closed)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(app.service, "predict", predict_while_closing)
+        status, body, _ = app.handle(
+            "POST",
+            "/v1/predict",
+            predict_payload(target_payload, target_sku="s4096"),
+        )
+        closing.join(timeout=30.0)
+        assert not closing.is_alive()
+        assert status == 400
+        assert "s4096" in body["error"]
+
+    def test_a_removed_mode_after_shutdown_gets_the_503(
+        self, app, target_payload
+    ):
+        """Once shutdown has begun every compute request is told so,
+        before its mode is looked at."""
+        assert app.shutdown(drain_timeout=10.0)
+        status, body, _ = app.handle(
+            "POST", "/v1/rank", rank_payload(target_payload, mode="async")
+        )
+        assert (status, body) == (503, {"error": "server is shutting down"})
+
+    def test_shutdown_reports_a_scheduler_that_did_not_drain(
+        self, app, target_payload, monkeypatch
+    ):
+        """A batch still running past ``drain_timeout`` makes shutdown
+        return False; the admitted request still gets its answer."""
+        predict = app.service.predict
+        running, release = threading.Event(), threading.Event()
+
+        def predict_until_released(*args, **kwargs):
+            running.set()
+            assert release.wait(timeout=30.0)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(app.service, "predict", predict_until_released)
+        payload = predict_payload(target_payload)
+        answers = []
+        request = threading.Thread(
+            target=lambda: answers.append(
+                app.handle("POST", "/v1/predict", payload)
+            )
+        )
+        request.start()
+        try:
+            assert running.wait(timeout=30.0)
+            assert app.shutdown(drain_timeout=0.05) is False
+        finally:
+            release.set()
+            request.join(timeout=30.0)
+        assert not request.is_alive()
+        [(status, body, _)] = answers
+        assert status == 200
+        assert "predicted_throughput" in body["result"]
+        assert app.shutdown(drain_timeout=10.0) is True
 
 
 class TestPredictErrors:

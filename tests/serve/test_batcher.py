@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.exceptions import ServeError, ValidationError
+from repro.exceptions import ServeError, ShuttingDownError, ValidationError
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve.batcher import BatchScheduler
 
@@ -181,6 +181,24 @@ class TestLifecycle:
         assert scheduler.close() is True
         assert scheduler.closed
         with pytest.raises(ServeError, match="closed"):
+            scheduler.submit("d2", "/v1/rank", {})
+
+    def test_only_the_closed_refusal_is_shutting_down(self, fresh_metrics):
+        """The app answers ShuttingDownError with a 503 and any other
+        ServeError with a 400, so a request's own failure must never
+        carry the shutdown type."""
+
+        def execute(items):
+            items[0].fail(ServeError("bad request"))
+
+        scheduler = BatchScheduler(execute, window_ms=0.0, max_batch=1)
+        try:
+            with pytest.raises(ServeError) as own:
+                scheduler.submit("d1", "/v1/rank", {})
+            assert not isinstance(own.value, ShuttingDownError)
+        finally:
+            assert scheduler.close() is True
+        with pytest.raises(ShuttingDownError, match="closed"):
             scheduler.submit("d2", "/v1/rank", {})
 
     def test_close_is_idempotent(self, fresh_metrics):

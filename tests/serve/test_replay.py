@@ -310,10 +310,11 @@ class TestOnlySynchronous200sAreReplayed:
                     "target_sku": "s4096",
                 },
             ),
+            (RANK, lambda target: {"target": target, "mode": "async"}),
         ],
         ids=[
             "malformed", "empty", "not-an-object", "non-finite-rank",
-            "non-finite-predict", "unknown-sku",
+            "non-finite-predict", "unknown-sku", "async",
         ],
     )
     def test_a_400_is_never_replayed(
@@ -326,15 +327,24 @@ class TestOnlySynchronous200sAreReplayed:
             assert not app.response_cache.has_alias(replay_key(path, body))
         assert counter("serve.response_cache.replays_total") == 0
 
-    def test_async_is_never_replayed(self, app, target_payload):
-        # The sync request caches the digest the async one shares.
-        assert post(app, RANK, body_of({"target": target_payload}))[0] == 200
-        body = body_of({"target": target_payload, "mode": "async"})
-        for _ in range(2):
-            status, accepted, _ = post(app, RANK, body)
-            assert status == 202, accepted
-            assert "job_id" in accepted
-        assert not app.response_cache.has_alias(replay_key(RANK, body))
+    def test_a_sync_mode_body_replays_the_bare_answer(
+        self, app, target_payload, spies
+    ):
+        """``"mode": "sync"`` is other bytes for the bare request: its
+        first send is a memory hit that records its own alias, and its
+        repeat replays the bare request's digest unparsed."""
+        status, bare, _ = post(app, RANK, body_of({"target": target_payload}))
+        assert status == 200
+        body = body_of({"target": target_payload, "mode": "sync"})
+        status, first, _ = post(app, RANK, body)
+        assert (status, first["meta"]["cache_tier"]) == (200, "memory")
+        before = dict(spies)
+        status, repeat, _ = post(app, RANK, body)
+        assert status == 200
+        assert spies == before
+        assert repeat == first
+        assert repeat["digest"] == bare["digest"]
+        assert counter("serve.response_cache.replays_total") == 1
 
     def test_a_replayable_body_after_shutdown_gets_the_503(
         self, app, target_payload, spies

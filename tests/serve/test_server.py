@@ -298,7 +298,6 @@ def test_cli_serve_sigterm_drains_cleanly(tmp_path):
             sys.executable, "-m", "repro.cli", "serve",
             "--references", str(references_path),
             "--port", "0",
-            "--state-dir", str(tmp_path / "state"),
             "--jobs", "1",
         ],
         stdout=subprocess.PIPE,
@@ -341,3 +340,4 @@ def test_cli_serve_sigterm_drains_cleanly(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+        process.stdout.close()

@@ -485,6 +485,28 @@ class TestObservabilityFlagParity:
         assert args.ledger is None
 
 
+class TestServeFlags:
+    """``repro serve`` has one delivery path: no job journal flags."""
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--state-dir", "state"), ("--job-workers", "2")]
+    )
+    def test_removed_job_flags_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--references", "r.json", flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_help_lists_no_job_flags(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--drain-timeout" in out
+        assert "--state-dir" not in out
+        assert "--job-workers" not in out
+
+
 class TestObsCommand:
     @pytest.fixture()
     def ledger_file(self, tmp_path):
