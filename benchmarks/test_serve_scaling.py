@@ -11,7 +11,9 @@ Not a paper figure — this bench guards the prediction service
   ``jobs=1`` or ``jobs=2`` — worker count is an operational knob, not
   a result parameter;
 - the load generator reports sustained warm throughput and tail
-  latency over real HTTP.
+  latency over real HTTP, and the same for a fully distinct cold load,
+  every request computed alone, in arrival order, on the scheduler
+  thread.
 
 Numbers are written to ``BENCH_serve.json`` (path overridable via
 ``REPRO_BENCH_SERVE_OUT``) so the scheduled CI job can archive them and
@@ -49,13 +51,6 @@ N_CONCURRENT = 8
 #: Cold-path load shape: threads x requests, every request distinct.
 COLD_THREADS = 4
 COLD_REQUESTS = 10
-#: Admission settings per cold-path mode.  ``serialized`` reproduces
-#: the old one-at-a-time compute lock (every batch has one member);
-#: ``batched`` is the micro-batch scheduler at its defaults.
-COLD_MODES = {
-    "serialized": {"batch_window_ms": 0.0, "max_batch": 1},
-    "batched": {"batch_window_ms": 5.0, "max_batch": 8},
-}
 
 
 def bench_out() -> str:
@@ -100,10 +95,10 @@ def rank_payload(references):
     return {"target": [result_to_dict(result) for result in target]}
 
 
-def warm_app(references, *, jobs=None, tag="bench", **serve_kwargs):
+def warm_app(references, *, jobs=None, tag="bench"):
     service = PredictionService(references, PipelineConfig(jobs=jobs))
     service.warmup()
-    return ServeApp(service, references_digest=tag, **serve_kwargs)
+    return ServeApp(service, references_digest=tag)
 
 
 def test_cold_vs_warm_latency(references, rank_payload):
@@ -215,92 +210,66 @@ def test_worker_count_parity(references, rank_payload):
 
 
 def test_cold_path_distinct_load(references, rank_payload):
-    """Distinct-request throughput: batched admission vs serialized.
+    """Distinct-request throughput and latency of the cold path.
 
     Every request carries a unique nonce (``unique_fraction=1.0``), so
-    none hits the response cache and none coalesces — each one is real
-    pipeline work, the load profile the micro-batch scheduler exists
-    for.  Both modes run with one engine worker per CPU (``jobs=0``);
-    the only difference is admission.  On a multi-core runner the
-    batched app must sustain >= 2x the serialized requests/s; a
-    single-core host cannot show the effect, so the section is flagged
-    ``insufficient_cores`` and the timing comparison is skipped by
-    ``repro obs check-bench``.
+    none hits the response cache and none coalesces: each one is real
+    pipeline work, computed alone, in arrival order, on the scheduler
+    thread, with one engine worker per CPU (``jobs=0``).  A single-core
+    host flags the section ``insufficient_cores``, and ``repro obs
+    check-bench`` skips its timings.
     """
     cores = os.cpu_count() or 1
-    record: dict = {
+    n_requests = COLD_THREADS * COLD_REQUESTS
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    app = warm_app(references, jobs=0, tag="cold-path")
+    server = make_server(app, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        generator = LoadGenerator(
+            f"http://127.0.0.1:{server.port}",
+            threads=COLD_THREADS,
+            requests_per_thread=COLD_REQUESTS,
+            unique_fraction=1.0,
+            seed=0,
+        )
+        stats = generator.run("/v1/rank", rank_payload)
+        misses = registry.counter("serve.response_cache.misses_total").value
+        executions = registry.counter(
+            "serve.pipeline_executions_total"
+        ).value
+    finally:
+        set_metrics(previous)
+        server.shutdown()
+        app.shutdown(drain_timeout=30.0)
+        server.server_close()
+        thread.join(timeout=10.0)
+    record = {
         "cpu_count": cores,
-        "n_requests": COLD_THREADS * COLD_REQUESTS,
+        "n_requests": n_requests,
+        "requests": stats["requests"],
+        "errors": stats["errors"],
+        "requests_per_s": stats["requests_per_s"],
+        "p50_ms": stats["p50_ms"],
+        "p99_ms": stats["p99_ms"],
     }
     if cores < 2:
         record["insufficient_cores"] = True
-    for mode, params in COLD_MODES.items():
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        app = warm_app(references, jobs=0, tag=f"cold-{mode}", **params)
-        server = make_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            generator = LoadGenerator(
-                f"http://127.0.0.1:{server.port}",
-                threads=COLD_THREADS,
-                requests_per_thread=COLD_REQUESTS,
-                unique_fraction=1.0,
-                seed=0,
-            )
-            stats = generator.run("/v1/rank", rank_payload)
-            sizes = registry.histogram("serve.batch.size")
-            record[mode] = {
-                "requests": stats["requests"],
-                "errors": stats["errors"],
-                "requests_per_s": stats["requests_per_s"],
-                "p50_ms": stats["p50_ms"],
-                "p99_ms": stats["p99_ms"],
-                "batches": sizes.count,
-                "batch_size_p50": sizes.quantile(0.5),
-                "batch_size_p99": sizes.quantile(0.99),
-            }
-            if cores < 2:
-                # check-bench matches the flag per exact section, so
-                # the nested per-mode timings need their own.
-                record[mode]["insufficient_cores"] = True
-            assert stats["errors"] == 0
-            assert stats["requests"] == COLD_THREADS * COLD_REQUESTS
-            # Every nonced request must be a genuine cache miss.
-            misses = registry.counter(
-                "serve.response_cache.misses_total"
-            ).value
-            assert misses == stats["requests"]
-        finally:
-            set_metrics(previous)
-            server.shutdown()
-            app.shutdown(drain_timeout=30.0)
-            server.server_close()
-            thread.join(timeout=10.0)
-    # max_batch=1 admits exactly one request per batch, by construction.
-    assert record["serialized"]["batches"] == COLD_THREADS * COLD_REQUESTS
-    speedup = (
-        record["batched"]["requests_per_s"]
-        / record["serialized"]["requests_per_s"]
-    )
-    record["batched_over_serialized_speedup"] = speedup
 
     print_header("Serving: cold path, every request distinct")
-    for mode in COLD_MODES:
-        entry = record[mode]
-        print(
-            f"{mode:11s}: {entry['requests_per_s']:7.1f} req/s   "
-            f"p50 {entry['p50_ms']:7.2f} ms   p99 {entry['p99_ms']:7.2f} ms"
-            f"   batches {entry['batches']}"
-        )
-    print(f"speedup    : x{speedup:.2f}  ({cores} cores)")
+    print(
+        f"{stats['requests_per_s']:7.1f} req/s   "
+        f"p50 {stats['p50_ms']:7.2f} ms   p99 {stats['p99_ms']:7.2f} ms"
+        f"   ({cores} cores)"
+    )
     RESULTS["cold_path"] = record
-    if cores >= 2:
-        assert speedup >= 2.0, (
-            f"batched cold path is only x{speedup:.2f} over the "
-            f"serialized baseline on {cores} cores"
-        )
+    assert stats["errors"] == 0
+    assert stats["requests"] == n_requests
+    # Every nonced request must be a genuine cache miss, and compute.
+    assert misses == stats["requests"]
+    assert executions == stats["requests"]
 
 
 def test_loadgen_warm_throughput(references, rank_payload):

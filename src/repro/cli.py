@@ -426,19 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: unbounded; entry count still applies)",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=4.0, metavar="MS",
-        help="cold-path admission window: concurrent distinct requests "
-        "arriving within this window execute as one batch",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=8, metavar="N",
-        help="max cold requests per batch (1 serializes, reproducing "
-        "the pre-batching behavior)",
-    )
-    serve.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="S",
         help="seconds to wait on SIGTERM/SIGINT for admitted requests "
-        "to flush through the batch scheduler",
+        "to compute, one at a time",
     )
     serve.add_argument(
         "--subexperiments", type=int, default=10, metavar="N",
@@ -968,8 +958,6 @@ def _cmd_serve(args) -> int:
             response_cache_size=args.response_cache_size,
             response_cache_bytes=args.response_cache_bytes,
             ledger=_resolve_ledger(args),
-            batch_window_ms=args.batch_window_ms,
-            max_batch=args.max_batch,
         )
         server = make_server(app, host=args.host, port=args.port)
         print(

@@ -39,9 +39,6 @@ LATENCY_MS_BUCKETS = (
     1000.0, 2500.0, 5000.0, 10000.0,
 )
 
-#: Buckets sized for small integer counts (e.g. admitted batch sizes).
-BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 
 class Counter:
     """A monotonically increasing value."""

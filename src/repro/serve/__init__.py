@@ -17,10 +17,9 @@ HTTP/JSON service where that repeated work is paid once:
   reference matrices and their workload groups built once, scaling
   models memoized per (reference, SKU pair); ``/v1/predict`` transfers
   from the nearest reference of the ranking ``/v1/rank`` answers with;
-- :mod:`repro.serve.batcher` — the cold-path micro-batch admission
-  queue: concurrent distinct requests execute as one batch on a single
-  scheduler thread (one multi-query kernel fan-out for a batch's rank
-  requests);
+- :mod:`repro.serve.batcher` — the cold-path admission queue: one
+  scheduler thread computes distinct requests one at a time, in
+  arrival order;
 - :mod:`repro.serve.app` — the transport-free request handler: routes,
   cache tiers, metrics, ledger rows; every answer is delivered on the
   request's own connection;

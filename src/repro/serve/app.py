@@ -26,22 +26,20 @@ path:
    leader; followers are answered with the leader's result
    (``meta.cache_tier == "coalesced"``);
 4. **tiers 2/3** — leaders submit to the
-   :class:`~repro.serve.batcher.BatchScheduler`: concurrent *distinct*
-   cold requests admitted within one batch window execute as **one**
-   batch on the scheduler thread — rank targets share a single
-   multi-query kernel fan-out, each predict target is ranked alone and
-   transfers from its nearest reference — with persisted Distance/Fit
+   :class:`~repro.serve.batcher.BatchScheduler`, whose one scheduler
+   thread computes admitted requests one at a time, in arrival order:
+   a rank target is ranked, a predict target ranked and its nearest
+   reference's scaling model transferred, with persisted Distance/Fit
    caches absorbing repeated sub-work and the persistent worker pool
    running what remains.  The decoded target travels with the
    request, so the scheduler never decodes.
 
 The single scheduler thread serializes engine work because the
 engine's telemetry capture swaps the process-global metrics registry —
-safe for one computation at a time, not for two interleaved ones; it
-replaces PR 9's compute lock, which had the same safety property but
-none of the batching throughput.  Scale-out is horizontal: multiple
-server processes share the same on-disk caches (safe under concurrent
-writers; pinned by ``tests/integration/test_concurrent_caches.py``).
+safe for one computation at a time, not for two interleaved ones.
+Scale-out is horizontal: multiple server processes share the same
+on-disk caches (safe under concurrent writers; pinned by
+``tests/integration/test_concurrent_caches.py``).
 
 Responses are enveloped as ``{"digest", "result", "meta"}`` — ``meta``
 (cache tier, timing) varies per delivery, ``result`` is the cached,
@@ -94,8 +92,6 @@ class ServeApp:
         response_cache_size: int = 1024,
         response_cache_bytes: int | None = None,
         ledger=None,
-        batch_window_ms: float = 4.0,
-        max_batch: int = 8,
     ):
         self.service = service
         self.identity = app_identity(
@@ -105,11 +101,7 @@ class ServeApp:
             response_cache_size, max_bytes=response_cache_bytes
         )
         self.single_flight = SingleFlight()
-        self.batcher = BatchScheduler(
-            self._execute_batch,
-            window_ms=batch_window_ms,
-            max_batch=max_batch,
-        )
+        self.batcher = BatchScheduler(self._execute_batch)
         self._ledger = (
             RunLedger(resolve_ledger_path(ledger)) if ledger else None
         )
@@ -219,10 +211,6 @@ class ServeApp:
             },
             "config": _config_dict(self.service.config),
             "response_cache_entries": len(self.response_cache),
-            "batch": {
-                "window_ms": self.batcher.window_s * 1000.0,
-                "max_batch": self.batcher.max_batch,
-            },
         }
 
     def _compute_request(self, endpoint: str, payload, key: str | None) -> dict:
@@ -271,7 +259,7 @@ class ServeApp:
     def _compute(
         self, digest: str, endpoint: str, payload: dict, target: list
     ) -> dict:
-        """Tier 2/3: admit to the batch scheduler, then populate tier 1."""
+        """Tier 2/3: admit to the scheduler, then populate tier 1."""
         started = time.perf_counter()
         get_metrics().counter("serve.pipeline_executions_total").inc()
         result = self.batcher.submit(digest, endpoint, payload, target=target)
@@ -280,51 +268,25 @@ class ServeApp:
         return result
 
     def _execute_batch(self, items) -> None:
-        """One admitted batch, on the scheduler thread.
+        """Compute one admitted request, on the scheduler thread.
 
-        Each item arrives with its target decoded; preparation and
-        validation run per item — a bad request in a batch fails alone,
-        exactly as it would have serially.  The surviving rank targets
-        share **one** multi-query kernel fan-out
-        (:meth:`~repro.serve.service.PredictionService.rank_prepared`,
-        bit-identical per target to ranking it alone); each predict
-        target is ranked alone, and its nearest reference's scaling
-        model transferred, per item.
+        The scheduler hands over a one-item list.  The item arrives
+        with its target decoded; a raise here is that item's error.
         """
-        with span("serve.batch", attrs={"size": len(items)}):
-            rank_items = []
-            for item in items:
-                with span(
-                    "serve.compute",
-                    attrs={
-                        "endpoint": item.endpoint,
-                        "digest": item.digest[:12],
-                    },
-                ):
-                    try:
-                        target = ExperimentRepository(item.target)
-                        if item.endpoint == "/v1/rank":
-                            item.extra = self.service.prepare_target(target)
-                            rank_items.append(item)
-                        else:
-                            item.result = self.service.predict(
-                                target,
-                                _require_str(item.payload, "source_sku"),
-                                _require_str(item.payload, "target_sku"),
-                            )
-                    except Exception as exc:
-                        item.fail(exc)
-            if rank_items:
-                try:
-                    rankings = self.service.rank_prepared(
-                        [item.extra for item in rank_items]
-                    )
-                except Exception as exc:
-                    for item in rank_items:
-                        item.fail(exc)
+        for item in items:
+            with span(
+                "serve.compute",
+                attrs={"endpoint": item.endpoint, "digest": item.digest[:12]},
+            ):
+                target = ExperimentRepository(item.target)
+                if item.endpoint == "/v1/rank":
+                    item.result = self.service.rank_response(target)
                 else:
-                    for item, ranking in zip(rank_items, rankings):
-                        item.result = self.service.rank_response_from(ranking)
+                    item.result = self.service.predict(
+                        target,
+                        _require_str(item.payload, "source_sku"),
+                        _require_str(item.payload, "target_sku"),
+                    )
 
     def _ledger_row(self, endpoint, digest, elapsed_s: float) -> None:
         if self._ledger is None:
@@ -347,7 +309,7 @@ class ServeApp:
         closed = self.batcher.close(timeout=drain_timeout)
         if not closed:
             logger.warning(
-                "batch scheduler did not drain within %.1fs", drain_timeout
+                "scheduler did not drain within %.1fs", drain_timeout
             )
         return closed
 

@@ -67,7 +67,7 @@ class LoadGenerator:
     changing the computation the server performs.  ``0.0`` (default)
     reproduces the old single-payload profile that measures the warm
     path; ``1.0`` makes every request a cold one, the profile the
-    batched-scheduler benchmark drives.  The nonce schedule depends
+    cold-path benchmark drives.  The nonce schedule depends
     only on ``(seed, thread, request index)``, so a run is exactly
     repeatable.
     """

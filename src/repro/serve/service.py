@@ -27,7 +27,8 @@ once at warmup, plus serving-only state:
 
 Both endpoints read one ranking: ``/v1/rank`` answers with it and
 ``/v1/predict`` transfers the scaling model of its nearest reference.
-Prediction calls the batch pipeline's
+Each request ranks its own target alone, one cross block of the target
+against the reference matrices.  Prediction calls the batch pipeline's
 :func:`~repro.core.pipeline.transfer` with a fresh seeded generator per
 request, so serving the same request twice — or on servers with
 different worker counts — produces bit-identical responses.
@@ -158,12 +159,9 @@ class PredictionService:
     ) -> tuple[str, list[np.ndarray]]:
         """Validate and represent one target: ``(name, matrices)``.
 
-        This is the per-request half of ranking — separated from the
-        distance evaluation so the batch executor can validate each
-        admitted request individually (a malformed target fails alone)
-        before stitching the survivors into one multi-query fan-out.  A
-        non-finite value in the target is a
-        :class:`~repro.exceptions.RepositoryError`.
+        The target's half of ranking; :meth:`rank_prepared` compares
+        the result with the references.  A non-finite value in the
+        target is a :class:`~repro.exceptions.RepositoryError`.
         """
         self._require_warm()
         if len(target) == 0:
@@ -188,64 +186,39 @@ class PredictionService:
         return target_name, target_matrices
 
     def rank_prepared(
-        self, prepared: list[tuple[str, list[np.ndarray]]]
-    ) -> list[SimilarityRanking]:
-        """Rankings for many prepared targets from one kernel fan-out.
+        self, prepared: tuple[str, list[np.ndarray]]
+    ) -> SimilarityRanking:
+        """The ranking of one prepared target.
 
-        All queries go through
-        :func:`~repro.similarity.evaluation.multi_query_cross_distances`
-        — one chunked engine dispatch for the whole batch — and each
-        query's cross block is then normalized and aggregated with
-        exactly the arithmetic the single-target path used, so every
-        ranking is **bit-identical to ranking that target alone**
-        (pinned by ``tests/serve/test_batch_parity.py``).
+        The target's cross block against the reference matrices comes
+        from :func:`~repro.similarity.evaluation.multi_query_cross_distances`
+        with the one query.  It is scaled to [0, 1] by its largest
+        entry, the same monotone normalization the batch pipeline's
+        ranking applies, and averaged per reference workload.
         """
         self._require_warm()
-        if not prepared:
-            return []
-        with span(
-            "serve.rank_batch",
-            attrs={
-                "batch": len(prepared),
-                "targets": ",".join(sorted({name for name, _ in prepared})),
-            },
-        ):
-            blocks = multi_query_cross_distances(
-                [matrices for _, matrices in prepared],
+        target_name, matrices = prepared
+        with span("serve.rank", attrs={"target": target_name}):
+            (C,) = multi_query_cross_distances(
+                [matrices],
                 self._ref_matrices,
                 self._measure,
                 jobs=self.config.jobs,
                 cache=self._pipeline.distance_cache,
                 col_digests=self._ref_digests,
             )
-            rankings = []
-            for (target_name, _), C in zip(prepared, blocks):
-                # Mean cross distance per reference workload, scaled to
-                # [0, 1] by the largest entry — the same monotone
-                # normalization the batch ranking applies.
-                peak = float(C.max())
-                if peak > 0:
-                    C = C / peak
-                distances = {
-                    reference: float(C[:, members].mean())
-                    for reference, members in self._groups
-                }
-                rankings.append(
-                    SimilarityRanking(target=target_name, distances=distances)
-                )
-        return rankings
-
-    def rank_batch(
-        self, targets: list[ExperimentRepository]
-    ) -> list[SimilarityRanking]:
-        """Rank many targets at once (validation is per target)."""
-        return self.rank_prepared(
-            [self.prepare_target(target) for target in targets]
-        )
+            peak = float(C.max())
+            if peak > 0:
+                C = C / peak
+            distances = {
+                reference: float(C[:, members].mean())
+                for reference, members in self._groups
+            }
+        return SimilarityRanking(target=target_name, distances=distances)
 
     def rank(self, target: ExperimentRepository) -> SimilarityRanking:
         """Rank reference workloads by mean distance to the target."""
-        return self.rank_prepared([self.prepare_target(target)])[0]
+        return self.rank_prepared(self.prepare_target(target))
 
     def nearest_reference(
         self, prepared: tuple[str, list[np.ndarray]]
@@ -256,7 +229,7 @@ class PredictionService:
         ties resolve first in corpus order, through
         :attr:`~repro.core.report.SimilarityRanking.nearest`.
         """
-        return self.rank_prepared([prepared])[0].nearest
+        return self.rank_prepared(prepared).nearest
 
     # -- prediction ------------------------------------------------------------
     def resolve_sku(self, name: str):
@@ -328,15 +301,12 @@ class PredictionService:
             },
         }
 
-    def rank_response_from(self, ranking: SimilarityRanking) -> dict:
-        """Format one ranking as the JSON-ready ``/v1/rank`` body."""
+    def rank_response(self, target: ExperimentRepository) -> dict:
+        """The JSON-ready ``/v1/rank`` response body."""
+        ranking = self.rank(target)
         return {
             "target_workload": ranking.target,
             "nearest": ranking.nearest,
             "ranking": {name: value for name, value in ranking.ordered},
             "features": list(self.features),
         }
-
-    def rank_response(self, target: ExperimentRepository) -> dict:
-        """The JSON-ready ``/v1/rank`` response body."""
-        return self.rank_response_from(self.rank(target))

@@ -486,10 +486,17 @@ class TestObservabilityFlagParity:
 
 
 class TestServeFlags:
-    """``repro serve`` has one delivery path: no job journal flags."""
+    """``repro serve`` has one delivery path and one admission path: no
+    job journal or batching flags."""
 
     @pytest.mark.parametrize(
-        "flag, value", [("--state-dir", "state"), ("--job-workers", "2")]
+        "flag, value",
+        [
+            ("--state-dir", "state"),
+            ("--job-workers", "2"),
+            ("--batch-window-ms", "4"),
+            ("--max-batch", "1"),
+        ],
     )
     def test_removed_job_flags_exit_2(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -505,6 +512,8 @@ class TestServeFlags:
         assert "--drain-timeout" in out
         assert "--state-dir" not in out
         assert "--job-workers" not in out
+        assert "--batch-window-ms" not in out
+        assert "--max-batch" not in out
 
 
 class TestObsCommand:
